@@ -20,12 +20,6 @@ from .errors import (
     WrongRegimeError,
 )
 from .excursion import (
-    EntranceConstants,
-    EntranceLaw,
-    IntensityTable,
-    NegativeStart,
-    OvershootMass,
-    constant_A,
     decomposition_residual,
     dual_lifetime_masses,
     entrance_constants,
@@ -40,14 +34,13 @@ from .excursion import (
     intensity_total_infinite,
     intensity_upper_creep,
     inverse_local_time,
-    occupation_density,
     occupation_overshoot_identity,
     overshoot_mass,
     subordinator_drift,
 )
 from .fluctuation import (
-    GFamily,
     conditioned_resolvent_density,
+    constant_A,
     creeping_probability,
     g_family,
     h_beta,
@@ -58,7 +51,6 @@ from .fluctuation import (
     survival_probability,
 )
 from .model import (
-    DriftRegime,
     ExpJumps,
     LevyModel,
     NoJumps,
@@ -72,8 +64,6 @@ from .model import (
 from .montecarlo import (
     Estimate,
     MCConfig,
-    PathSample,
-    StoppingInfo,
     estimate_creeping,
     estimate_passage_below_laplace,
     estimate_survival,
@@ -83,11 +73,8 @@ from .montecarlo import (
     simulate_path,
 )
 from .scale import (
-    RoundTrip,
     ScaleConfig,
     ScaleEngine,
-    ScaleValue,
-    SeriesCheck,
     laplace_roundtrip,
     make_engine,
     mittag_leffler,
@@ -95,8 +82,6 @@ from .scale import (
 )
 from .validation import (
     TOLERANCES,
-    CheckResult,
-    ValidationReport,
     run_validation,
     worker_count,
 )

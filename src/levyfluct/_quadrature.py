@@ -3,13 +3,12 @@
 Thin wrappers around :func:`scipy.integrate.quad` that (a) map
 semi-infinite integrals with a known exponential decay rate onto (0, 1]
 so the sampler sees a bounded, well-scaled integrand, and (b) turn
-scipy's warning conventions into exceptions.
+scipy's reports of unreliable results into exceptions.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 from scipy import integrate
 
@@ -17,11 +16,11 @@ from .errors import QuadratureFailure
 
 
 def _quiet_quad(*args, **kwargs):
-    # the error-estimate check below already turns unreliable results into
-    # exceptions; scipy's warning would only duplicate it as console noise
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(*args, **kwargs)
+    # the error-estimate checks below already turn unreliable results into
+    # exceptions; full_output makes scipy return its message instead of
+    # warning, without touching the process-wide warning filters that
+    # concurrent validation threads share
+    return integrate.quad(*args, full_output=1, **kwargs)[:2]
 
 
 def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13):

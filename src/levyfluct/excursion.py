@@ -13,8 +13,7 @@ its right inverse phi, and the jump tail.  This module evaluates:
 * Laplace functionals of the entrance law, up to the local-time
   normalization (the free constant is fixed to 1 here),
 * the expected overshoot-like mass of level crossings accumulated over
-  an excursion, together with the occupation density it integrates
-  against,
+  an excursion, and its recomputation against the occupation density,
 * the Laplace exponent of the inverse local time at 0 and its drift.
 
 Everything is closed-form except two one-dimensional quadratures over
@@ -40,7 +39,6 @@ __all__ = [
     "EntranceConstants",
     "EntranceLaw",
     "OvershootMass",
-    "constant_A",
     "intensity_total",
     "intensity_total_infinite",
     "intensity_upper_creep",
@@ -55,7 +53,6 @@ __all__ = [
     "entrance_constants",
     "entrance_law_laplace",
     "overshoot_mass",
-    "occupation_density",
     "occupation_overshoot_identity",
     "inverse_local_time",
     "subordinator_drift",
@@ -126,44 +123,24 @@ def _check_beta(beta):
 
 
 # ---------------------------------------------------------------------------
-# the constant A = lim_{beta -> 0} phi'(beta) * phi(beta)
-# ---------------------------------------------------------------------------
-
-
-def constant_A(engine):
-    """Limit of phi'(beta)*phi(beta) as beta -> 0, by drift regime.
-
-    Drifts to -inf: phi(0)/psi'(phi(0)).  Oscillating: 1/psi''(0+), which
-    is 0 when the variance blows up (the pure stable class).  Drifts to
-    +inf: 0.
-    """
-    m = engine.model
-    mean = m.mean
-    if mean > 0.0:
-        return 0.0
-    if mean < 0.0:
-        phi0 = m.phi(0.0)
-        return float(phi0 / m.psi_prime(phi0))
-    d2 = m.psi_second(0.0)
-    return 0.0 if math.isinf(d2) else float(1.0 / d2)
-
-
-# ---------------------------------------------------------------------------
 # lifetime intensities
 # ---------------------------------------------------------------------------
 
 
-def intensity_total(engine, beta):
-    """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta))."""
-    beta = _check_beta(beta)
+def _lifetime_rate(engine, beta):
+    # psi'(phi(beta)) = 1/phi'(beta), for beta >= 0
     m = engine.model
     return float(m.psi_prime(m.phi(beta)))
 
 
+def intensity_total(engine, beta):
+    """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta))."""
+    return _lifetime_rate(engine, _check_beta(beta))
+
+
 def intensity_total_infinite(engine):
     """n(zeta = inf) = psi'(phi(0)+); zero for an oscillating model."""
-    m = engine.model
-    return float(m.psi_prime(m.phi(0.0)))
+    return _lifetime_rate(engine, 0.0)
 
 
 def intensity_upper_creep(engine, beta):
@@ -200,34 +177,36 @@ def _jump_quadrature(engine, integrand, tail_decay):
     return head + tail
 
 
+def _tail_moment(engine, rate):
+    # integral_0^inf exp(-rate*u) * u * pitail(u) du
+    m = engine.model
+
+    def integrand(u):
+        return math.exp(-rate * u) * u * float(m.pi_tail(u))
+
+    return _jump_quadrature(engine, integrand, rate)
+
+
+def _cross_before(engine, beta):
+    # phi(beta) * tail moment at phi(beta), for beta >= 0
+    m = engine.model
+    phib = m.phi(beta)
+    if phib == 0.0 or isinstance(m.jumps, NoJumps):
+        return 0.0
+    return float(phib * _tail_moment(engine, phib))
+
+
 def intensity_cross_before(engine, beta):
     """n(0 < tau0minus < e_beta < zeta): goes negative by a jump, then survives.
 
     phi(beta) * integral_0^inf exp(-phi(beta)*u) * u * pitail(u) du.
     """
-    beta = _check_beta(beta)
-    m = engine.model
-    if isinstance(m.jumps, NoJumps):
-        return 0.0
-    phib = m.phi(beta)
-
-    def integrand(u):
-        return math.exp(-phib * u) * u * float(m.pi_tail(u))
-
-    return float(phib * _jump_quadrature(engine, integrand, phib))
+    return _cross_before(engine, _check_beta(beta))
 
 
 def intensity_cross_before_infinite(engine):
     """Same event with zeta = inf; nonzero only when drifting to -inf."""
-    m = engine.model
-    phi0 = m.phi(0.0)
-    if phi0 == 0.0 or isinstance(m.jumps, NoJumps):
-        return 0.0
-
-    def integrand(u):
-        return math.exp(-phi0 * u) * u * float(m.pi_tail(u))
-
-    return float(phi0 * _jump_quadrature(engine, integrand, phi0))
+    return _cross_before(engine, 0.0)
 
 
 def intensity_negative_start(engine, beta):
@@ -273,15 +252,7 @@ def decomposition_residual(engine, beta):
     Should vanish up to quadrature error; reported, not raised, so the
     validation layer can assert it at its own tolerance.
     """
-    beta = _check_beta(beta)
-    pieces = (
-        intensity_negative_start(engine, beta).total
-        + intensity_cross_before(engine, beta)
-        + intensity_upper_creep(engine, beta)
-        + intensity_stay_positive(engine)
-        + intensity_cross_after(engine, beta)
-    )
-    return intensity_total(engine, beta) - pieces
+    return intensity_table(engine, beta).residual
 
 
 def intensity_table(engine, beta):
@@ -409,19 +380,7 @@ def overshoot_mass(engine):
     phi0 = m.phi(0.0)
     if phi0 == 0.0 and math.isinf(m.psi_second(0.0)):
         return OvershootMass(math.inf, True)
-
-    def integrand(u):
-        return math.exp(-phi0 * u) * u * float(m.pi_tail(u))
-
-    return OvershootMass(_jump_quadrature(engine, integrand, phi0), False)
-
-
-def occupation_density(engine, y):
-    """Occupation density of the downward-reflected excursion: e^{-phi(0)y}, y>0."""
-    y = float(y)
-    if y <= 0.0:
-        return 0.0
-    return math.exp(-engine.model.phi(0.0) * y)
+    return OvershootMass(_tail_moment(engine, phi0), False)
 
 
 def occupation_overshoot_identity(engine):
@@ -475,8 +434,7 @@ def inverse_local_time(engine, lam):
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise BadParameterError(f"lam must be finite and > 0, got {lam}")
-    m = engine.model
-    return float(m.psi_prime(m.phi(lam)))
+    return _lifetime_rate(engine, lam)
 
 
 def subordinator_drift(engine):
@@ -487,9 +445,8 @@ def subordinator_drift(engine):
     ratio decays like a power of lam), so the returned estimate should be
     tiny and the validation layer asserts that.
     """
-    m = engine.model
     ladder = [10.0**k for k in range(2, 9)]
-    vals = [float(m.psi_prime(m.phi(lam))) / lam for lam in ladder]
+    vals = [_lifetime_rate(engine, lam) / lam for lam in ladder]
     d1, d2, d3 = vals[-3], vals[-2], vals[-1]
     denom = (d3 - d2) - (d2 - d1)
     if denom == 0.0:

@@ -30,7 +30,6 @@ from typing import Callable
 
 from ._quadrature import integrate_finite, integrate_semiinfinite
 from .errors import BadParameterError, QuadratureFailure
-from .excursion import constant_A
 from .model import NoJumps, _tail_decay_hint
 
 __all__ = [
@@ -43,6 +42,7 @@ __all__ = [
     "survival_probability",
     "kernel_K",
     "conditioned_resolvent_density",
+    "constant_A",
     "g_family",
 ]
 
@@ -216,6 +216,24 @@ def conditioned_resolvent_density(engine, beta, lam, x, y):
 # ---------------------------------------------------------------------------
 # the g-family of conditioning weights
 # ---------------------------------------------------------------------------
+
+
+def constant_A(engine):
+    """Limit of phi'(beta)*phi(beta) as beta -> 0, by drift regime.
+
+    Drifts to -inf: phi(0)/psi'(phi(0)).  Oscillating: 1/psi''(0+), which
+    is 0 when the variance blows up (the pure stable class).  Drifts to
+    +inf: 0.
+    """
+    m = engine.model
+    mean = m.mean
+    if mean > 0.0:
+        return 0.0
+    if mean < 0.0:
+        phi0 = m.phi(0.0)
+        return float(phi0 / m.psi_prime(phi0))
+    d2 = m.psi_second(0.0)
+    return 0.0 if math.isinf(d2) else float(1.0 / d2)
 
 
 @dataclass(frozen=True)

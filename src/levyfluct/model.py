@@ -58,7 +58,6 @@ __all__ = [
     "LevyModel",
     "Regime",
     "DriftRegime",
-    "validate_model",
     "parse_model",
     "model_from_dict",
     "model_to_dict",
@@ -297,7 +296,7 @@ class TemperedStableJumps:
         lam = np.asarray(lam)
         a, th = self.alpha, self.tempering
         return self.scale * (
-            np.power(lam + th, a) - th**a - a * th ** (a - 1.0) * lam
+            np.power(lam + th, a) - np.power(th, a) - a * th ** (a - 1.0) * lam
         )
 
     def psi_part_d1(self, lam):
@@ -516,21 +515,6 @@ class LevyModel:
         else:
             kind = Regime.TO_MINUS_INFINITY
         return DriftRegime(kind=kind, mean=m, phi0=self.phi(0.0))
-
-
-def validate_model(model):
-    """Re-run the admissibility checks and classify the long-run drift.
-
-    Construction already validates, so on a live LevyModel this only has
-    to resolve phi(0) and the sign of psi'(0+); it exists so callers that
-    receive a model from elsewhere get one entry point that both vets the
-    object and reports the regime.
-    """
-    if not isinstance(model, LevyModel):
-        raise BadParameterError(
-            f"expected a LevyModel, got {type(model).__name__}"
-        )
-    return model.drift_regime()
 
 
 def _tail_decay_hint(jumps):

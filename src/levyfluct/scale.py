@@ -4,17 +4,17 @@ The engine evaluates the functions defined through the transform
 
     integral_0^inf exp(-lam*x) W^(q)(x) dx = 1/(psi(lam) - q),   lam > phi(q),
 
-together with Z^(q)(x) = 1 + q * integral_0^x W^(q)(y) dy.  Three routes
-are implemented:
+together with Z^(q)(x) = 1 + q * integral_0^x W^(q)(y) dy.  Two routes
+are implemented, selected by ``ScaleConfig.method``:
 
-``closed_form``
+closed form (``auto``, where the family has one)
     Rational exponents (Brownian motion, compound Poisson with
-    exponential jumps) via partial fractions of 1/(psi - q); repeated
-    poles (the oscillating q = 0 case) produce x^(j-1)*exp(p*x) terms.
+    exponential jumps) via partial fractions of 1/(psi - q); the double
+    pole of the oscillating q = 0 case produces an x*exp(p*x) term.
     The pure stable exponent scale*lam**alpha goes through the
     Mittag-Leffler function instead.
 
-``contour``
+``contour`` (``auto`` for every other model)
     Numerical inversion of the transform on a deformed Bromwich contour
     shifted right of phi(q).  Default is the fixed-Talbot rule with 32
     nodes; a damped Fourier-series rule with Euler acceleration is kept
@@ -23,10 +23,10 @@ are implemented:
     so any roundoff on the contour is amplified by that factor and a
     constant shift would lose six digits by x = 10.
 
-``series``
-    The convolution series sum_k q^k W^{*(k+1)}(x) on a trapezoid grid,
-    restricted to q*x*W(x) < 1 where a geometric domination bound makes
-    truncation transparent.  Mostly useful as an independent oracle.
+The convolution series sum_k q^k W^{*(k+1)}(x) is not a route but an
+independent oracle, ``w_series_check``: it runs on a trapezoid grid,
+restricted to q*x*W(x) < 1 where a geometric domination bound makes
+truncation transparent.
 
 W^(q)(x) = 0 for x < 0 and, in the unbounded-variation class accepted by
 the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from ._quadrature import integrate_semiinfinite
 from .errors import (
@@ -50,13 +50,16 @@ from .errors import (
 )
 from .model import ExpJumps, NoJumps, StableJumps
 
-_METHODS = ("auto", "closed_form", "contour", "series")
+_METHODS = ("auto", "contour")
 _INVERSIONS = ("talbot", "bromwich")
 
 
 @dataclass(frozen=True)
 class ScaleConfig:
     """Evaluation policy for a scale-function engine.
+
+    ``method="auto"`` takes the closed form where the model has one and
+    the contour route otherwise; ``"contour"`` forces the contour route.
 
     ``nodes`` is the Talbot node count M; 32 keeps the rule comfortably
     inside double precision (larger M amplifies roundoff through the
@@ -210,16 +213,6 @@ class ScaleEngine:
             return "stable"
         return None
 
-    def _route(self):
-        method = self.config.method
-        if method == "auto":
-            return "closed_form" if self.closed_kind else "contour"
-        if method == "closed_form" and self.closed_kind is None:
-            raise BadConfigError(
-                "closed_form requested but this model has no closed-form scale function"
-            )
-        return method
-
     def phi(self, q):
         return self.model.phi(q)
 
@@ -238,7 +231,7 @@ class ScaleEngine:
         q, x = self._check_args(q, x)
         if x <= 0.0:
             return ScaleValue(0.0, "support", 0.0)
-        return self._w_impl(q, x, self._route())
+        return self._evaluate(q, x, kind="w")
 
     def w_prime_detail(self, q, x):
         q, x = self._check_args(q, x)
@@ -248,12 +241,7 @@ class ScaleEngine:
             # right derivative at the origin for unbounded variation paths
             val = 2.0 / self.model.sigma2 if self.model.sigma2 > 0.0 else math.inf
             return ScaleValue(val, "closed_form", 0.0)
-        route = self._route()
-        if route == "series":
-            raise BadConfigError("series route does not provide derivatives")
-        if route == "closed_form":
-            return self._closed(q, x, kind="wprime")
-        return self._contour(q, x, kind="wprime")
+        return self._evaluate(q, x, kind="wprime")
 
     def z_detail(self, q, x):
         q, x = self._check_args(q, x)
@@ -261,12 +249,12 @@ class ScaleEngine:
             return ScaleValue(1.0, "support", 0.0)
         if q == 0.0:
             return ScaleValue(1.0, "closed_form", 0.0)
-        route = self._route()
-        if route == "series":
-            raise BadConfigError("series route does not provide Z")
-        if route == "closed_form":
-            return self._closed(q, x, kind="z")
-        return self._contour(q, x, kind="z")
+        return self._evaluate(q, x, kind="z")
+
+    def _evaluate(self, q, x, kind):
+        if self.config.method == "auto" and self.closed_kind:
+            return self._closed(q, x, kind)
+        return self._contour(q, x, kind)
 
     @staticmethod
     def _check_args(q, x):
@@ -429,14 +417,6 @@ class ScaleEngine:
             return None
         return [t for i, t in enumerate(terms) if i != best[0]]
 
-    def _w_impl(self, q, x, route):
-        if route == "closed_form":
-            return self._closed(q, x, kind="w")
-        if route == "series":
-            chk = w_series_check(self, q, x)
-            return ScaleValue(chk.value, "series", abs(chk.rel_gap))
-        return self._contour(q, x, kind="w")
-
     # -- closed forms ---------------------------------------------------------
 
     def _closed(self, q, x, kind):
@@ -541,18 +521,38 @@ class ScaleEngine:
 
 
 def _residue_terms(num, den):
-    """Partial fractions of num/den as (residue, pole, power) triples."""
-    r, p, k = signal.residue(num, den)
-    if len(k) and np.any(np.abs(k) > 0):
-        raise BadParameterError("transform is not strictly proper")
-    terms = []
-    power = 0
-    for i in range(len(p)):
-        if i > 0 and abs(p[i] - p[i - 1]) <= 1e-8 * (1.0 + abs(p[i])):
-            power += 1
+    """Partial fractions of num/den as (coefficient, pole, power) triples.
+
+    Roots of den within 1e-8*(1 + |p|) of each other count as one pole.
+    A simple pole contributes N(p)/D'(p).  The only repeated pole of these
+    transforms is the double pole at 0 for q = 0 with zero mean; writing
+    D = (s - p)^2 h with h(p) = D''(p)/2 and h'(p) = D'''(p)/6, it
+    contributes N(p)/h(p) at power 2 and (N/h)'(p) at power 1.
+    """
+    d1 = np.polyder(den)
+    d2 = np.polyder(d1)
+    groups = []
+    for root in np.roots(den):
+        for group in groups:
+            if abs(root - group[0]) <= 1e-8 * (1.0 + abs(root)):
+                group.append(root)
+                break
         else:
-            power = 1
-        terms.append((complex(r[i]), complex(p[i]), power))
+            groups.append([root])
+    terms = []
+    for group in groups:
+        p = complex(np.mean(group))
+        n = complex(np.polyval(num, p))
+        if len(group) == 1:
+            terms.append((n / complex(np.polyval(d1, p)), p, 1))
+            continue
+        if len(group) > 2:
+            raise BadParameterError(f"transform has a pole of order {len(group)} at {p}")
+        h = complex(np.polyval(d2, p)) / 2.0
+        dh = complex(np.polyval(np.polyder(d2), p)) / 6.0
+        dn = complex(np.polyval(np.polyder(num), p))
+        terms.append(((dn * h - n * dh) / h**2, p, 1))
+        terms.append((n / h, p, 2))
     return terms
 
 
@@ -576,12 +576,12 @@ def w_series_check(engine, q, x, n_grid=512):
     q, x = ScaleEngine._check_args(q, x)
     if x <= 0.0:
         raise BadParameterError("series check needs x > 0")
-    route = "closed_form" if engine.closed_kind else "contour"
+    evaluate = engine._closed if engine.closed_kind else engine._contour
     grid = np.linspace(0.0, x, n_grid + 1)
     h = x / n_grid
     w0 = np.empty(n_grid + 1)
     w0[0] = 0.0
-    w0[1:] = [engine._w_impl(0.0, g, route).value for g in grid[1:]]
+    w0[1:] = [evaluate(0.0, g, "w").value for g in grid[1:]]
     wx = w0[-1]
     if q * x * wx >= 1.0:
         raise SeriesDivergence(
@@ -600,7 +600,7 @@ def w_series_check(engine, q, x, n_grid=512):
         n_terms += 1
         if abs(term) <= 1e-13 * abs(total):
             break
-    reference = engine._w_impl(q, x, route).value
+    reference = evaluate(q, x, "w").value
     rel = (total - reference) / reference if reference != 0.0 else math.inf
     return SeriesCheck(value=total, reference=reference, rel_gap=rel, n_terms=n_terms)
 

@@ -10,11 +10,13 @@ from levyfluct import (
     h_beta,
     hitting_laplace,
     kernel_K,
+    make_engine,
     passage_below_laplace,
     resolvent_density,
     survival_probability,
 )
 from levyfluct._quadrature import integrate_finite, integrate_semiinfinite
+from conftest import bm
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +216,10 @@ def test_g_tilde_infinite_flag(engine_bm_down, engine_bm_up):
     assert g_family(engine_bm_down).g_tilde_infinite
     assert g_family(engine_bm_down).g_tilde(-1.0) == math.inf
     assert not g_family(engine_bm_up).g_tilde_infinite
+
+
+def test_survival_small_drift_far_start():
+    # psi'(0+) W(x) = 1 - exp(-2*gamma*x/sigma2) for Brownian motion
+    engine = make_engine(bm(1e-4))
+    exact = -math.expm1(-0.2)
+    assert survival_probability(engine, 1000.0) == pytest.approx(exact, rel=1e-9)

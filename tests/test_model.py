@@ -19,6 +19,7 @@ from levyfluct import (
     model_from_dict,
     model_to_dict,
     parse_model,
+    run_validation,
 )
 from conftest import bm, model_b, stable_sn, tempered_mixed
 
@@ -247,3 +248,16 @@ def test_parse_model_missing_jump_field():
     with pytest.raises(ModelFormatError, match="rate"):
         model_from_dict({"gamma": 0.0, "sigma2": 1.0,
                          "jumps": {"family": "cp_exp", "jump_rate": 1.0}})
+
+
+def test_tempered_psi_vanishes_exactly_at_zero():
+    model = LevyModel(
+        gamma=0.0,
+        sigma2=0.9943653504819232,
+        jumps=TemperedStableJumps(
+            alpha=1.6009324230817334, scale=0.8210582819668469, tempering=1.5354014247238896
+        ),
+    )
+    assert model.psi(0.0) == 0.0
+    report = run_validation(model)
+    assert report.ok, [c.name for c in report.failures]

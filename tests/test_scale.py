@@ -190,3 +190,13 @@ def test_detail_reports_method_and_error(engine_b):
     d = contour.w_detail(2.5, 1.0)
     assert d.method == "contour"
     assert d.est_error < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 5e-4, -5e-4])
+def test_brownian_small_drift_keeps_both_poles(gamma):
+    # the poles 0 and -2*gamma sit closer than 1e-3; they are distinct and
+    # must not be merged into a double pole
+    engine = make_engine(bm(gamma))
+    for x in (0.01, 1.0, 100.0, 1000.0):
+        exact = -math.expm1(-2.0 * gamma * x) / gamma
+        assert engine.w(0.0, x) == pytest.approx(exact, rel=1e-9)
