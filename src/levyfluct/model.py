@@ -88,8 +88,6 @@ class NoJumps:
     family = "none"
     finite_activity = True
     infinite_variation = False
-    # no jumps, so nothing to compensate
-    compensation = "none"
 
     def psi_part(self, lam):
         return np.zeros_like(np.asarray(lam))
@@ -108,10 +106,6 @@ class NoJumps:
 
     @property
     def mean_at_zero(self):
-        return 0.0
-
-    @property
-    def second_at_zero(self):
         return 0.0
 
     def truncated_variance(self, eps):
@@ -139,9 +133,6 @@ class ExpJumps:
     family = "cp_exp"
     finite_activity = True
     infinite_variation = False
-    # the exponent keeps the raw jump integral, so gamma is the true drift
-    # coefficient and the jump part contributes -rate/jump_rate to the mean
-    compensation = "uncompensated"
 
     def __post_init__(self):
         _require(math.isfinite(self.rate) and self.rate > 0.0,
@@ -172,10 +163,6 @@ class ExpJumps:
     @property
     def mean_at_zero(self):
         return -self.rate / self.jump_rate
-
-    @property
-    def second_at_zero(self):
-        return 2.0 * self.rate / self.jump_rate**2
 
     def truncated_variance(self, eps):
         # integral of x^2 Pi(dx) over (-eps, 0)
@@ -211,9 +198,6 @@ class StableJumps:
     family = "stable"
     finite_activity = False
     infinite_variation = True
-    # fully compensated: psi_part(lam) = scale*lam**alpha already absorbs
-    # the integral of x against the measure, so gamma is the process mean
-    compensation = "full"
 
     def __post_init__(self):
         _require(math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0,
@@ -249,10 +233,6 @@ class StableJumps:
     def mean_at_zero(self):
         return 0.0
 
-    @property
-    def second_at_zero(self):
-        return math.inf
-
     def truncated_variance(self, eps):
         k = _stable_front(self.alpha, self.scale)
         return k * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
@@ -281,7 +261,6 @@ class TemperedStableJumps:
     family = "tempered_stable"
     finite_activity = False
     infinite_variation = True
-    compensation = "full"
 
     def __post_init__(self):
         _require(math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0,
@@ -331,11 +310,6 @@ class TemperedStableJumps:
     @property
     def mean_at_zero(self):
         return 0.0
-
-    @property
-    def second_at_zero(self):
-        a, th = self.alpha, self.tempering
-        return self.scale * a * (a - 1.0) * th ** (a - 2.0)
 
     def truncated_variance(self, eps):
         a, th = self.alpha, self.tempering

@@ -20,7 +20,7 @@ functions of (model, config) regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -542,9 +542,7 @@ def estimate_upcross_laplace(model, config, a, q):
     plan = _plan(model, config)
     # gap process a - X: drift flips and the (negative) jumps point up,
     # away from the barrier, so crossing by a jump cannot happen
-    mirror = _Plan(plan.sigma, -plan.drift, plan.rate, plan.kind,
-                   plan.cutoff, plan.jump_rate, plan.alpha, plan.tempering,
-                   jump_sign=1.0)
+    mirror = replace(plan, drift=-plan.drift, jump_sign=1.0)
 
     crossings = 0
     alive = 0
@@ -554,9 +552,8 @@ def estimate_upcross_laplace(model, config, a, q):
         for index, size in _blocks(config):
             rng = _philox(config.seed, index)
             crossed, tau, _, _, _ = _sweep_block(mirror, rng, size, a, horizon)
-            # mirrored sweep: "jumps" were flipped positive inside the
-            # gap process by negating sizes in the plan drift; crossing
-            # of 0 by the gap is the upcross of a
+            # mirrored sweep: jump_sign = +1 flips the jumps positive in
+            # the gap process; crossing of 0 by the gap is the upcross of a
             crossings += int(crossed.sum())
             alive += int(size - crossed.sum())
             yield np.where(crossed, np.exp(-q * tau), 0.0)

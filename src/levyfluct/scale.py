@@ -28,6 +28,17 @@ independent oracle, ``w_series_check``: it runs on a trapezoid grid,
 restricted to q*x*W(x) < 1 where a geometric domination bound makes
 truncation transparent.
 
+The leading-term split (``w_minus_leading``, ``z_minus_leading``)
+removes the dominant exponential, the residue of the transform at its
+pole phi(q) times exp(phi(q)*x), without differencing two large
+numbers.  It has two routes.  Rational exponents drop the phi(q) pole
+from the partial fractions of W.  Every other model, pure stable
+included, inverts the remainder's own transform on a Talbot contour
+based at 0: with that pole subtracted, every singularity lies in
+Re s <= 0, so the abscissa need not clear phi(q), and the exp(c*x)
+factor that amplifies contour roundoff stays below e^2 however far
+into the tail x lies.
+
 W^(q)(x) = 0 for x < 0 and, in the unbounded-variation class accepted by
 the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
 """
@@ -200,7 +211,6 @@ class ScaleEngine:
         if not isinstance(self.config, ScaleConfig):
             raise BadConfigError("config: expected a ScaleConfig")
         self._rational_cache = {}
-        self._z_cache = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -266,7 +276,7 @@ class ScaleEngine:
             raise BadParameterError(f"x must be finite, got {x}")
         return q, x
 
-    # -- leading-term splits ----------------------------------------------------
+    # -- leading-term split -----------------------------------------------------
 
     def w_minus_leading(self, q, x):
         """W^(q)(x) - phi'(q)*exp(phi(q)*x), stable against cancellation.
@@ -286,25 +296,7 @@ class ScaleEngine:
                 "leading-term split needs psi'(phi(q)) > 0; "
                 "q = 0 with zero mean has no linear leading term"
             )
-        phi = self.model.phi(q)
-        if x == 0.0:
-            return -phip
-        kind = self.closed_kind
-        if kind == "rational":
-            rest = self._drop_phi_pole(self._w_terms(q), phi)
-            if rest is not None:
-                return self._eval_terms(rest, x)
-        elif kind == "stable":
-            a = self.model.jumps.alpha
-            c = self.model.jumps.scale
-            zarg = (q / c) * x**a
-            if zarg >= 60.0:
-                return -(x ** (a - 1.0) / c) * _ml_algebraic_tail(a, a, zarg)
-        if kind is None:
-            # no closed form at all: invert the remainder's own transform,
-            # which beats differencing two contour values at every x
-            return self._remainder_contour(q, x, phi, phip, kind="w")
-        return self._guarded_difference(q, x, phi, phip, kind="w")
+        return self._minus_leading(q, x, self.model.phi(q), phip, kind="w")
 
     def z_minus_leading(self, q, x):
         """Z^(q)(x) - (q/phi(q))*phi'(q)*exp(phi(q)*x) for q > 0, x >= 0."""
@@ -314,46 +306,23 @@ class ScaleEngine:
         if x < 0.0:
             raise BadParameterError("z_minus_leading needs x >= 0")
         phi = self.model.phi(q)
-        phip = self.model.phi_prime(q)
-        if x == 0.0:
-            return 1.0 - (q / phi) * phip
-        kind = self.closed_kind
-        if kind == "rational":
-            rest = self._drop_phi_pole(self._z_terms(q), phi)
-            if rest is not None:
-                # the residue at the 0 pole is exactly -1/q, so the
-                # constant 1 + q*r0 vanishes identically; applying that
-                # algebraically keeps the far tail free of O(eps) offsets
-                rest = [t for t in rest if abs(t[1]) > 1e-9]
-                return q * self._eval_terms(rest, x)
-        elif kind == "stable":
-            a = self.model.jumps.alpha
-            c = self.model.jumps.scale
-            zarg = (q / c) * x**a
-            # (q/phi)*phi' equals 1/alpha here, the Mittag-Leffler lead
-            if zarg >= 60.0:
-                return -_ml_algebraic_tail(a, 1.0, zarg)
-        if kind is None:
-            return self._remainder_contour(q, x, phi, (q / phi) * phip, kind="z")
-        return self._guarded_difference(q, x, phi, (q / phi) * phip, kind="z")
+        lead_coeff = (q / phi) * self.model.phi_prime(q)
+        return self._minus_leading(q, x, phi, lead_coeff, kind="z")
 
-    def _guarded_difference(self, q, x, phi, lead_coeff, kind):
-        # transform-inverted route: form the difference directly while it
-        # clears the inversion's own noise floor; past that point the
-        # subtraction is pure cancellation and the remainder is inverted
-        # from its own transform instead
-        if phi * x <= 600.0:
-            try:
-                detail = self.w_detail(q, x) if kind == "w" else self.z_detail(q, x)
-            except InversionFailure:
-                detail = None
-            if detail is not None:
-                lead = lead_coeff * math.exp(phi * x)
-                diff = detail.value - lead
-                floor = 10.0 * max(detail.est_error, 1e-13) * abs(lead)
-                if abs(diff) > floor:
-                    return diff
-        return self._remainder_contour(q, x, phi, lead_coeff, kind)
+    def _minus_leading(self, q, x, phi, lead_coeff, kind):
+        # W or Z less lead_coeff*exp(phi*x); lead_coeff is the residue of
+        # the transform at its simple pole phi = phi(q)
+        if x == 0.0:
+            return (1.0 if kind == "z" else 0.0) - lead_coeff
+        if self.closed_kind != "rational":
+            return self._remainder_contour(q, x, phi, lead_coeff, kind)
+        terms = self._z_terms(q) if kind == "z" else self._w_terms(q)
+        at_phi = [t for t in terms if abs(t[1] - phi) <= 1e-6 * (1.0 + phi)]
+        if len(at_phi) != 1 or at_phi[0][2] != 1:
+            raise InversionFailure(
+                f"partial fractions at q={q} have no simple pole at phi(q) = {phi}"
+            )
+        return self._eval_terms([t for t in terms if t is not at_phi[0]], x)
 
     def _remainder_contour(self, q, x, phi, lead_coeff, kind):
         # transform of the remainder itself: subtracting the phi(q) pole
@@ -370,7 +339,8 @@ class ScaleEngine:
             # Z - 1 transforms to q/(s(psi-q)); folding in the constant 1
             # gives psi(s)/(s(psi(s)-q)), analytic at 0 since psi(0)=0
             def transform(s):
-                return m.psi(s) / (s * (m.psi(s) - q)) - lead_coeff / (s - phi)
+                p = m.psi(s)
+                return p / (s * (p - q)) - lead_coeff / (s - phi)
 
         # a base-0 contour hits its roundoff floor near M = 24 in double
         # precision; more nodes only amplify rounding, so cap there and
@@ -391,10 +361,6 @@ class ScaleEngine:
             if _agree(v3, v2):
                 v1 = v3
             elif not _agree(v1, v3):
-                if abs(v1) <= 1e-8 * scale and abs(v2) <= 1e-8 * scale:
-                    # every rule sits at the roundoff floor, so the true
-                    # remainder is below it too; zero is the honest answer
-                    return 0.0
                 raise InversionFailure(
                     f"remainder inversion at q={q}, x={x}: "
                     f"node comparison {abs(v1 - v2):.3e} exceeds tolerance"
@@ -404,26 +370,12 @@ class ScaleEngine:
         # and keeps the far tail from flipping sign inside quadratures
         return min(v1, 0.0) if kind == "w" else max(v1, 0.0)
 
-    @staticmethod
-    def _drop_phi_pole(terms, phi):
-        # remove the simple pole at phi(q); its residue is exactly the
-        # leading coefficient.  None signals "no clean split, fall back".
-        best = None
-        for i, (_, p, j) in enumerate(terms):
-            d = abs(p - phi)
-            if best is None or d < best[1]:
-                best = (i, d, j)
-        if best is None or best[1] > 1e-6 * (1.0 + abs(phi)) or best[2] != 1:
-            return None
-        return [t for i, t in enumerate(terms) if i != best[0]]
-
     # -- closed forms ---------------------------------------------------------
 
     def _closed(self, q, x, kind):
         if self.closed_kind == "rational":
             if kind == "z":
                 val = self._eval_terms(self._z_terms(q), x)
-                val = 1.0 + q * val
             else:
                 val = self._eval_terms(self._w_terms(q), x, deriv=(kind == "wprime"))
             pmax = max(abs(p) for _, p, _ in self._w_terms(q))
@@ -459,11 +411,14 @@ class ScaleEngine:
         return self._rational_cache[q]
 
     def _z_terms(self, q):
-        # Z^(q)(x) - 1 = q * inverse transform of 1/(lam*(psi-q))
-        if q not in self._z_cache:
-            num, den = self._transform_polys(q)
-            self._z_cache[q] = _residue_terms(num, np.polymul(den, [1.0, 0.0]))
-        return self._z_cache[q]
+        # Z^(q) = 1 + q * integral of W^(q).  For q > 0 every pole p of
+        # 1/(psi - q) is simple and nonzero, so r*exp(p*x) integrates to
+        # (r/p)*(exp(p*x) - 1); the constant 1 - q*sum(r/p) vanishes
+        # because the transform takes the value -1/q = -sum(r/p) at 0
+        terms = self._w_terms(q)
+        if any(j != 1 for _, _, j in terms):
+            raise InversionFailure(f"poles of 1/(psi - q) merge at q={q}")
+        return [(q * r / p, p, 1) for r, p, _ in terms]
 
     @staticmethod
     def _eval_terms(terms, x, deriv=False):

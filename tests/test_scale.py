@@ -200,3 +200,47 @@ def test_brownian_small_drift_keeps_both_poles(gamma):
     for x in (0.01, 1.0, 100.0, 1000.0):
         exact = -math.expm1(-2.0 * gamma * x) / gamma
         assert engine.w(0.0, x) == pytest.approx(exact, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# leading-term split
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha, scale, q", [(1.2, 0.7, 0.5), (1.5, 1.0, 2.5), (1.9, 1.3, 10.0)])
+def test_stable_split_continuous_at_zarg_60(alpha, scale, q):
+    # the splits must be continuous in x; a switch to the Mittag-Leffler
+    # algebraic tail at (q/scale)*x**alpha = 60 made them jump by up to 2e-3
+    engine = make_engine(stable_sn(alpha=alpha, scale=scale))
+    x60 = (60.0 * scale / q) ** (1.0 / alpha)
+    for split in (engine.w_minus_leading, engine.z_minus_leading):
+        below = split(q, x60 * (1.0 - 1e-9))
+        above = split(q, x60 * (1.0 + 1e-9))
+        assert above == pytest.approx(below, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [bm(1.0), model_b(), stable_sn(), tempered_mixed()],
+    ids=["bm_up", "model_b", "stable", "tempered"],
+)
+def test_split_plus_leading_term_reconstructs_w_and_z(model):
+    engine = make_engine(model)
+    for q in (0.5, 2.5):
+        phi = model.phi(q)
+        phip = model.phi_prime(q)
+        for x in (0.1, 1.0, 3.0):
+            lead = phip * math.exp(phi * x)
+            w = engine.w_minus_leading(q, x) + lead
+            z = engine.z_minus_leading(q, x) + (q / phi) * lead
+            assert w == pytest.approx(engine.w(q, x), rel=1e-9)
+            assert z == pytest.approx(engine.z(q, x), rel=1e-9)
+
+
+def test_rational_z_agrees_with_contour():
+    for model in (model_b(), bm(-1.0)):
+        closed = make_engine(model)
+        contour = make_engine(model, ScaleConfig(method="contour"))
+        for q in (0.5, 2.5):
+            for x in (0.01, 0.1, 1.0, 5.0):
+                assert closed.z(q, x) == pytest.approx(contour.z(q, x), rel=1e-9)
