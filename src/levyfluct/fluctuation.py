@@ -14,7 +14,10 @@ Numerically the danger in all of these is cancellation: u_q and h_beta
 subtract two terms that each grow like exp(phi(q)|y|).  Every formula
 here is therefore routed through the scale engine's leading-term splits
 (``w_minus_leading``/``z_minus_leading``), which remove the dominant
-exponential algebraically and keep relative accuracy at large |y|.
+exponential algebraically and keep relative accuracy at large |y|.  The
+one exception is h_beta at phi(beta)*y <= 1, where the split would in
+turn cancel against phi'(beta) and W itself is the better-conditioned
+term.
 
 The g-family collects the harmonic-minorant weights used to condition
 the process on sign behaviour; their beta -> 0 limits are taken in
@@ -27,6 +30,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from ._quadrature import integrate_finite, integrate_semiinfinite
 from .errors import BadParameterError, QuadratureFailure
@@ -60,29 +65,41 @@ def resolvent_density(engine, q, y):
     u_q(y) = phi'(q) exp(-phi(q) y) for y >= 0; for y < 0 the scale term
     W^(q)(-y) enters and the difference is taken through the engine's
     leading-term split, so no accuracy is lost when phi(q)|y| is large.
+    y may be a float or a numpy array; the result has the same form.
     """
     q = _check_positive("q", q)
-    y = float(y)
     m = engine.model
-    if y >= 0.0:
-        return float(m.phi_prime(q)) * math.exp(-m.phi(q) * y)
-    return -engine.w_minus_leading(q, -y)
+    if not isinstance(y, np.ndarray):
+        y = float(y)
+        if y >= 0.0:
+            return float(m.phi_prime(q)) * math.exp(-m.phi(q) * y)
+        return -engine.w_minus_leading(q, -y)
+    out = np.empty(y.shape)
+    ahead = y >= 0.0
+    out[ahead] = float(m.phi_prime(q)) * np.exp(-m.phi(q) * y[ahead])
+    out[~ahead] = -engine.w_minus_leading(q, -y[~ahead])
+    return out
 
 
 def h_beta(engine, beta, y):
     """Weight h_beta(y) = u_beta(0) - u_beta(-y) of avoiding 0 up to e_beta.
 
-    Equals phi'(beta)(1 - exp(y*phi(beta))) + W^(beta)(y); the y > 0
-    branch is evaluated as phi'(beta) + w_minus_leading(beta, y), which
-    is the same identity with the exploding exponentials cancelled
-    exactly.
+    Equals W^(beta)(y) - phi'(beta)*expm1(y*phi(beta)).  For y > 0 with
+    phi(beta)*y <= 1 it is evaluated in that form, where W^(beta)(y) is
+    the larger term; beyond, as phi'(beta) + w_minus_leading(beta, y),
+    the same identity with the exploding exponentials cancelled exactly.
+    Near 0 the split form would subtract two numbers of size phi'(beta)
+    to get one of size W^(beta)(y) ~ y^(alpha - 1) and lose digits.
     """
     beta = _check_positive("beta", beta)
     y = float(y)
     m = engine.model
+    phi = m.phi(beta)
     phip = float(m.phi_prime(beta))
     if y <= 0.0:
-        return phip * (1.0 - math.exp(y * m.phi(beta)))
+        return phip * (1.0 - math.exp(y * phi))
+    if phi * y <= 1.0:
+        return engine.w(beta, y) - phip * math.expm1(phi * y)
     return phip + engine.w_minus_leading(beta, y)
 
 

@@ -504,6 +504,19 @@ def _tail_decay_hint(jumps):
 # phi solver: convex psi, Newton from the right with bracket safeguards
 # ---------------------------------------------------------------------------
 
+_EPS = np.finfo(float).eps
+
+
+def _psi_size(model, x):
+    # size of the terms summed into psi(x), so EPS times it is the rounding
+    # floor of psi(x); the tempered part subtracts two constants of size
+    # theta**alpha that cancel at small x
+    j = model.jumps
+    size = abs(model.gamma * x) + 0.5 * model.sigma2 * x * x + abs(float(j.psi_part(x)))
+    if isinstance(j, TemperedStableJumps):
+        size += 2.0 * j.scale * j.tempering**j.alpha
+    return size
+
 
 @functools.lru_cache(maxsize=4096)
 def _phi_cached(model, q):
@@ -536,12 +549,12 @@ def _phi_cached(model, q):
     # Newton from the right; convexity keeps iterates above the root, the
     # bracket clip is a pure safeguard
     x = hi
-    # relative in q so the inverse identity holds to ~1e-12 even at the
-    # small end of the grid; the absolute floor covers q = 0
-    tol = 2e-15 + 1e-13 * q
     for _ in range(100):
         fx = model.psi(x) - q
-        if abs(fx) <= tol:
+        # relative in q so the inverse identity holds to ~1e-12 even at
+        # the small end of the grid, or down at the rounding floor of
+        # psi(x) itself, which sets the limit when q is tiny or 0
+        if abs(fx) <= 1e-13 * q + 8.0 * _EPS * _psi_size(model, x):
             return x
         if fx > 0.0:
             hi = x
@@ -554,7 +567,7 @@ def _phi_cached(model, q):
             x_new = 0.5 * (lo + hi)
             if not (lo < x_new < hi):
                 return hi
-        if abs(x_new - x) <= 1e-16 * (1.0 + abs(x)):
+        if abs(x_new - x) <= 2.0 * _EPS * abs(x):
             return x_new
         x = x_new
     raise ConvergenceFailure(f"phi: Newton failed to converge for q = {q}")

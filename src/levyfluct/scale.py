@@ -39,12 +39,29 @@ Re s <= 0, so the abscissa need not clear phi(q), and the exp(c*x)
 factor that amplifies contour roundoff stays below e^2 however far
 into the tail x lies.
 
+Array calls.  ``w``, ``w_prime``, ``z`` (and their ``*_detail`` forms),
+``w_minus_leading``, ``z_minus_leading`` and ``mittag_leffler`` take x
+as a float or as a numpy array: a float gives a float, an array an
+array of its shape.  Every route takes either form; only the masks that
+set the points x <= 0 apart branch on it.  A float is not made a
+1-element array, because numpy's cost per call on such arrays is
+several times that of a rational closed form.  Every route evaluates a
+whole array at once; a contour rule makes one transform call on an
+(n, M) node array per batch of points, so the quadratures over W in
+``laplace_roundtrip`` and the validation suites pay for a few such
+calls instead of one inversion per node.  Every point keeps its own
+self-estimate and, in the remainder contour, its own tie-break.  A
+point that fails raises ``InversionFailure`` naming its x, and so does
+a value that is not finite (a closed form overflowing far in the tail),
+so no call returns NaN or inf for a point x > 0.
+
 W^(q)(x) = 0 for x < 0 and, in the unbounded-variation class accepted by
 the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +79,7 @@ from .errors import (
 from .model import ExpJumps, NoJumps, StableJumps
 
 _METHODS = ("auto", "contour")
+_TINY = np.finfo(float).tiny
 _INVERSIONS = ("talbot", "bromwich")
 
 
@@ -123,41 +141,62 @@ class RoundTrip:
 
 
 def mittag_leffler(a, b, z):
-    """E_{a,b}(z) for real z >= 0 and a in (0, 2], via series or asymptotics."""
-    if z < 0.0:
+    """E_{a,b}(z) for real z >= 0 and a in (0, 2], via series or asymptotics.
+
+    z may be a float or a numpy array; the result has the same form.
+    """
+    z, shape = _points(z)
+    zs = np.atleast_1d(z)
+    if zs.size and zs.min() < 0.0:
         raise BadParameterError("mittag_leffler: z must be >= 0")
-    if z == 0.0:
-        return float(special.rgamma(b))
-    if z <= 80.0:
-        ks = np.arange(0, 320, dtype=float)
-        with np.errstate(under="ignore"):
-            terms = np.exp(ks * math.log(z) - special.gammaln(a * ks + b))
-        return float(np.sum(terms))
-    # exponential asymptotics; rgamma vanishes at the poles of gamma, so
-    # terms with b - a*k a nonpositive integer drop out by themselves
-    zr = z ** (1.0 / a)
+    series = zs <= 80.0
+    if series.all():
+        out = _ml_series_sum(a, b, zs)
+    else:
+        out = np.empty(zs.shape)
+        out[series] = _ml_series_sum(a, b, zs[series])
+        out[~series] = _ml_asymptotic(a, b, zs[~series])
+    return _shaped(out.reshape(np.shape(z)), shape)
+
+
+def _ml_series_sum(a, b, z):
+    # the first 320 terms of the power series, at 0 <= z <= 80
+    ks = np.arange(0, 320, dtype=float)
+    logs = np.log(np.maximum(z, _TINY))[:, None]
+    with np.errstate(under="ignore"):
+        sums = np.exp(logs * ks - special.gammaln(a * ks + b)).sum(axis=1)
+    # z = 0 leaves only the k = 0 term
+    sums[z == 0.0] = special.rgamma(b)
+    return sums
+
+
+def _ml_asymptotic(a, b, z):
+    # exponential asymptotics at z > 80; rgamma vanishes at the poles of
+    # gamma, so terms with b - a*k a nonpositive integer drop out by
+    # themselves
     with np.errstate(over="ignore"):
-        lead = (1.0 / a) * z ** ((1.0 - b) / a) * np.exp(zr)
-    return float(lead - _ml_algebraic_tail(a, b, z))
+        lead = (1.0 / a) * z ** ((1.0 - b) / a) * np.exp(z ** (1.0 / a))
+    return lead - _ml_algebraic_tail(a, b, z)
 
 
 def _ml_algebraic_tail(a, b, z):
     # sum_{k>=1} z^(-k) / Gamma(b - a*k): the algebraic part of E_{a,b} at
-    # large z.  The series is asymptotic; truncate at the smallest term.
-    # Terms sitting on a gamma pole are exactly zero and must not be
-    # mistaken for the turning point.
-    total = 0.0
-    last = math.inf
-    for k in range(1, 64):
-        term = z ** (-k) * float(special.rgamma(b - a * k))
-        mag = abs(term)
-        if mag == 0.0:
-            continue
-        if mag > last and k > 2:
-            break
-        last = mag
-        total += term
-    return total
+    # large z, for an array z.  The series is asymptotic; each point sums
+    # its terms in order up to its smallest one.  Terms sitting on a gamma
+    # pole are exactly zero and must not be mistaken for the turning point.
+    ks = np.arange(1, 64, dtype=float)
+    coeffs = special.rgamma(b - a * ks)
+    ks, coeffs = ks[coeffs != 0.0], coeffs[coeffs != 0.0]
+    terms = z[:, None] ** -ks * coeffs
+    if ks.size < 2:
+        return np.sum(terms, axis=1)
+    mag = np.abs(terms)
+    # the first k > 2 whose term outgrows the one before ends the sum;
+    # terms that underflow to zero never do
+    grows = (mag[:, 1:] > mag[:, :-1]) & (ks[1:] > 2)
+    stop = np.where(grows.any(axis=1), grows.argmax(axis=1) + 1, ks.size)
+    kept = np.where(np.arange(ks.size) < stop[:, None], terms, 0.0)
+    return np.cumsum(kept, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +207,86 @@ def _ml_algebraic_tail(a, b, z):
 def _shift(base, x):
     # contour abscissa: clear phi(q) by a margin, tapered at large x since
     # the final exp(c*x) factor amplifies contour roundoff
-    delta = max(1.0, base / 10.0) * (1.0 if x <= 2.0 else 2.0 / x)
-    return base + delta
+    return base + max(1.0, base / 10.0) * (2.0 / np.maximum(x, 2.0))
+
+
+# complex transform values per transform call: bounds the memory of one
+# batch of points however many are asked for at once
+_BATCH = 1 << 12
+
+
+@functools.lru_cache(maxsize=None)
+def _talbot_rule(M):
+    # theta_k, cot(theta_k) + i and 1 + i*sigma(theta_k) for k = 1..M-1:
+    # the fixed-Talbot nodes are r*theta*(cot + i) + c with weights
+    # (r/M)*(1 + i*sigma); the real node k = 0 is handled apart
+    theta = np.arange(1, M, dtype=float) * np.pi / M
+    cot = 1.0 / np.tan(theta)
+    sigma = theta + (theta * cot - 1.0) * cot
+    return theta, cot + 1j, 1.0 + 1j * sigma
 
 
 def _talbot_once(transform, x, M, base):
-    c = _shift(base, x)
-    k = np.arange(1, M, dtype=float)
-    theta = k * np.pi / M
-    cot = 1.0 / np.tan(theta)
-    r = 2.0 * M / (5.0 * x)
-    sk = r * theta * (cot + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    total = 0.5 * complex(transform(np.array([r + 0j + c]))[0]) * math.exp(r * x)
-    total += np.sum(np.real(np.exp(sk * x) * transform(sk + c) * (1.0 + 1j * sigma)))
-    return math.exp(c * x) * (r / M) * float(np.real(total))
+    """Fixed-Talbot rule with M nodes at the points of the 1-D array x.
+
+    Every batch of points costs one transform call on an (n, M) node array.
+    """
+    theta, path, weight = _talbot_rule(M)
+    out = np.empty(x.shape)
+    step = max(1, _BATCH // M)
+    for i in range(0, x.size, step):
+        xb = x[i : i + step, None]
+        c = _shift(base, xb)
+        r = 2.0 * M / (5.0 * xb)
+        sk = r * theta * path
+        nodes = np.empty((xb.shape[0], M), dtype=complex)
+        nodes[:, :1] = r + c
+        nodes[:, 1:] = sk + c
+        vals = transform(nodes)
+        head = 0.5 * vals[:, :1].real * np.exp(r * xb)
+        body = np.sum(np.real(np.exp(sk * xb) * vals[:, 1:] * weight), axis=1, keepdims=True)
+        out[i : i + step] = (np.exp(c * xb) * (r / M) * (head + body))[:, 0]
+    return out
 
 
 def _bromwich_once(transform, x, base, m=11, n=28, A=18.4):
-    # damped trapezoid rule with Euler (binomial) acceleration of the tail
-    c = _shift(base, x)
-    a0 = A / (2.0 * x)
-    ks = np.arange(1, n + m + 1, dtype=float)
-    s = a0 + 1j * ks * np.pi / x
+    # damped trapezoid rule with Euler (binomial) acceleration of the tail,
+    # at the points of the 1-D array x in one transform call
+    xb = x[:, None]
+    c = _shift(base, xb)
+    a0 = A / (2.0 * xb)
+    ks = np.arange(0, n + m + 1, dtype=float)
+    s = a0 + 1j * ks * np.pi / xb
+    vals = transform(s + c)
     # exp(s*x) = exp(A/2) * (-1)^k supplies both the damping prefactor and
     # the alternating sign of the series
-    vals = np.real(np.exp(s * x) * transform(s + c))
-    head = 0.5 * float(np.real(math.exp(a0 * x) * complex(transform(np.array([a0 + 0j + c]))[0])))
-    partial = head + np.cumsum(vals)
-    tail = partial[n - 1 : n + m]
+    terms = np.real(np.exp(s * xb) * vals)
+    head = 0.5 * terms[:, :1]
+    partial = head + np.cumsum(terms[:, 1:], axis=1)
+    tail = partial[:, n - 1 : n + m]
     weights = special.binom(m, np.arange(0, m + 1))
-    accel = float(np.sum(weights * tail)) / 2.0**m
-    return math.exp(c * x) * accel / x
+    accel = np.sum(weights * tail, axis=1) / 2.0**m
+    return np.exp(c[:, 0] * x) * accel / x
+
+
+def _points(x):
+    # a float for a scalar x, or a 1-D float array for a numpy array x,
+    # and the shape to give back (None for a scalar).  Every route takes
+    # either form; one point stays a float because on 1-element arrays
+    # numpy's per-call cost is several times that of a closed form
+    if isinstance(x, np.ndarray) and x.ndim > 0:
+        return x.astype(float).ravel(), x.shape
+    return float(x), None
+
+
+def _shaped(values, shape):
+    # undo _points on the values at its points
+    return float(values) if shape is None else np.reshape(values, shape)
+
+
+def _not_finite(method, kind, q, x):
+    # far in the tail a closed form overflows; no value is returned then
+    return InversionFailure(f"{method} value of {kind} is not finite at q={q}, x={x}")
 
 
 class ScaleEngine:
@@ -214,7 +301,7 @@ class ScaleEngine:
 
     # -- routing ------------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def closed_kind(self):
         j = self.model.jumps
         if isinstance(j, (NoJumps, ExpJumps)):
@@ -238,43 +325,73 @@ class ScaleEngine:
         return self.z_detail(q, x).value
 
     def w_detail(self, q, x):
-        q, x = self._check_args(q, x)
-        if x <= 0.0:
-            return ScaleValue(0.0, "support", 0.0)
-        return self._evaluate(q, x, kind="w")
+        return self._on_support(q, x, "w")
 
     def w_prime_detail(self, q, x):
-        q, x = self._check_args(q, x)
-        if x < 0.0:
-            return ScaleValue(0.0, "support", 0.0)
-        if x == 0.0:
-            # right derivative at the origin for unbounded variation paths
-            val = 2.0 / self.model.sigma2 if self.model.sigma2 > 0.0 else math.inf
-            return ScaleValue(val, "closed_form", 0.0)
-        return self._evaluate(q, x, kind="wprime")
+        return self._on_support(q, x, "wprime")
 
     def z_detail(self, q, x):
-        q, x = self._check_args(q, x)
-        if x <= 0.0:
-            return ScaleValue(1.0, "support", 0.0)
-        if q == 0.0:
-            return ScaleValue(1.0, "closed_form", 0.0)
-        return self._evaluate(q, x, kind="z")
+        return self._on_support(q, x, "z")
+
+    def _on_support(self, q, x, kind):
+        # route the points x > 0 (and q > 0 for Z); _edge gives the others
+        q, x, shape = self._check_args(q, x)
+        inner = (x > 0.0) & (kind != "z" or q > 0.0)
+        if shape is None:
+            if not inner:
+                value, method = self._edge(q, x, kind)
+                return ScaleValue(float(value), method, 0.0)
+            found = self._evaluate(q, x, kind)
+            value = float(found.value)
+            if not math.isfinite(value):
+                raise _not_finite(found.method, kind, q, x)
+            return ScaleValue(value, found.method, float(found.est_error))
+        value = np.empty(x.shape)
+        est = np.zeros(x.shape)
+        outer = ~inner
+        method = "support"
+        if outer.any():
+            value[outer], method = self._edge(q, x[outer], kind)
+        if inner.any():
+            found = self._evaluate(q, x[inner], kind)
+            bad = ~np.isfinite(found.value)
+            if bad.any():
+                raise _not_finite(found.method, kind, q, x[inner][bad][0])
+            value[inner] = found.value
+            est[inner] = found.est_error
+            method = found.method
+        return ScaleValue(value.reshape(shape), method, est.reshape(shape))
+
+    def _edge(self, q, x, kind):
+        # values and method where no route runs: x <= 0, or Z at q = 0
+        if kind == "w":
+            return 0.0, "support"
+        if kind == "z":
+            return 1.0, "closed_form" if q == 0.0 and np.any(x > 0.0) else "support"
+        # right derivative at the origin for unbounded variation paths
+        at_zero = 2.0 / self.model.sigma2 if self.model.sigma2 > 0.0 else math.inf
+        below = x < 0.0
+        return np.where(below, 0.0, at_zero), "support" if np.all(below) else "closed_form"
 
     def _evaluate(self, q, x, kind):
+        # x > 0 throughout
         if self.config.method == "auto" and self.closed_kind:
             return self._closed(q, x, kind)
         return self._contour(q, x, kind)
 
     @staticmethod
     def _check_args(q, x):
+        # q as a float; x and the shape to give back as from _points
         q = float(q)
-        x = float(x)
         if not (math.isfinite(q) and q >= 0.0):
             raise BadParameterError(f"q must be finite and >= 0, got {q}")
-        if not math.isfinite(x):
-            raise BadParameterError(f"x must be finite, got {x}")
-        return q, x
+        x, shape = _points(x)
+        if shape is None:
+            if not math.isfinite(x):
+                raise BadParameterError(f"x must be finite, got {x}")
+        elif not np.isfinite(x).all():
+            raise BadParameterError(f"x must be finite, got {x[~np.isfinite(x)][0]}")
+        return q, x, shape
 
     # -- leading-term split -----------------------------------------------------
 
@@ -285,35 +402,44 @@ class ScaleEngine:
         remainder decays, so resolvent densities and exit identities built
         from it keep their accuracy where the naive difference of two huge
         numbers would not.  Needs a finite phi'(q): q > 0, or q = 0 with
-        nonzero mean.
+        nonzero mean.  x may be a float or an array.
         """
-        q, x = self._check_args(q, x)
-        if x < 0.0:
-            raise BadParameterError("w_minus_leading needs x >= 0")
+        q, x, shape = self._check_args(q, x)
         phip = self.model.phi_prime(q)
         if not math.isfinite(phip):
             raise WrongRegimeError(
                 "leading-term split needs psi'(phi(q)) > 0; "
                 "q = 0 with zero mean has no linear leading term"
             )
-        return self._minus_leading(q, x, self.model.phi(q), phip, kind="w")
+        return _shaped(self._minus_leading(q, x, self.model.phi(q), phip, kind="w"), shape)
 
     def z_minus_leading(self, q, x):
         """Z^(q)(x) - (q/phi(q))*phi'(q)*exp(phi(q)*x) for q > 0, x >= 0."""
-        q, x = self._check_args(q, x)
+        q, x, shape = self._check_args(q, x)
         if q <= 0.0:
             raise BadParameterError("z_minus_leading needs q > 0")
-        if x < 0.0:
-            raise BadParameterError("z_minus_leading needs x >= 0")
         phi = self.model.phi(q)
         lead_coeff = (q / phi) * self.model.phi_prime(q)
-        return self._minus_leading(q, x, phi, lead_coeff, kind="z")
+        return _shaped(self._minus_leading(q, x, phi, lead_coeff, kind="z"), shape)
 
     def _minus_leading(self, q, x, phi, lead_coeff, kind):
         # W or Z less lead_coeff*exp(phi*x); lead_coeff is the residue of
         # the transform at its simple pole phi = phi(q)
-        if x == 0.0:
-            return (1.0 if kind == "z" else 0.0) - lead_coeff
+        at_zero = (1.0 if kind == "z" else 0.0) - lead_coeff
+        if isinstance(x, float):
+            if x < 0.0:
+                raise BadParameterError(f"{kind}_minus_leading needs x >= 0")
+            return at_zero if x == 0.0 else self._split(q, x, phi, lead_coeff, kind)
+        if (x < 0.0).any():
+            raise BadParameterError(f"{kind}_minus_leading needs x >= 0")
+        out = np.full(x.shape, at_zero)
+        inner = x > 0.0
+        if inner.any():
+            out[inner] = self._split(q, x[inner], phi, lead_coeff, kind)
+        return out
+
+    def _split(self, q, x, phi, lead_coeff, kind):
+        # the split at x > 0
         if self.closed_kind != "rational":
             return self._remainder_contour(q, x, phi, lead_coeff, kind)
         terms = self._z_terms(q) if kind == "z" else self._w_terms(q)
@@ -329,7 +455,7 @@ class ScaleEngine:
         # leaves all singularities in Re s <= 0 (the remainder is the
         # transform of an integrable density with at least the jump
         # tail's exponential decay), so a contour based at 0 reaches the
-        # far tail with no exp(phi*x) amplification at all
+        # far tail with no exp(phi*x) amplification at all.  x > 0.
         m = self.model
 
         if kind == "w":
@@ -347,40 +473,47 @@ class ScaleEngine:
         # cross-check against a shorter rule on an absolute scale
         n1 = min(self.config.nodes, 24)
         n2 = max(12, (3 * n1) // 4)
-        v1 = _talbot_once(transform, x, n1, 0.0)
-        v2 = _talbot_once(transform, x, n2, 0.0)
+        xs = np.atleast_1d(x)
+        v1 = _talbot_once(transform, xs, n1, 0.0)
+        v2 = _talbot_once(transform, xs, n2, 0.0)
         scale = 1.0 + abs(lead_coeff)
 
         def _agree(a, b):
-            return abs(a - b) <= 1e-6 * abs(a) + 5e-9 * scale
+            return np.isfinite(a) & (np.abs(a - b) <= 1e-6 * np.abs(a) + 5e-9 * scale)
 
-        if not _agree(v1, v2):
+        split = ~_agree(v1, v2)
+        if split.any():
             # a node landing near a complex zero of psi - q poisons one
-            # rule at isolated (q, x); a third geometry breaks the tie
-            v3 = _talbot_once(transform, x, n1 - 3, 0.0)
-            if _agree(v3, v2):
-                v1 = v3
-            elif not _agree(v1, v3):
+            # rule at isolated (q, x); a third geometry breaks the tie at
+            # the points where the first two disagree
+            a1, a2 = v1[split], v2[split]
+            a3 = _talbot_once(transform, xs[split], n1 - 3, 0.0)
+            take3 = _agree(a3, a2)
+            fail = ~take3 & ~_agree(a1, a3)
+            if fail.any():
+                i = np.flatnonzero(fail)[0]
                 raise InversionFailure(
-                    f"remainder inversion at q={q}, x={x}: "
-                    f"node comparison {abs(v1 - v2):.3e} exceeds tolerance"
+                    f"remainder inversion at q={q}, x={xs[split][i]}: "
+                    f"node comparison {abs(a1[i] - a2[i]):.3e} exceeds tolerance"
                 )
+            v1[split] = np.where(take3, a3, a1)
         # the w remainder is -u_q(-x) <= 0 and the z remainder is its
         # q-integral >= 0; clamping costs nothing above the noise floor
         # and keeps the far tail from flipping sign inside quadratures
-        return min(v1, 0.0) if kind == "w" else max(v1, 0.0)
+        v1 = np.minimum(v1, 0.0) if kind == "w" else np.maximum(v1, 0.0)
+        return v1.reshape(np.shape(x))
 
     # -- closed forms ---------------------------------------------------------
 
     def _closed(self, q, x, kind):
+        # x > 0
         if self.closed_kind == "rational":
             if kind == "z":
                 val = self._eval_terms(self._z_terms(q), x)
             else:
                 val = self._eval_terms(self._w_terms(q), x, deriv=(kind == "wprime"))
             pmax = max(abs(p) for _, p, _ in self._w_terms(q))
-            est = 1e-13 * (1.0 + abs(x) * pmax)
-            return ScaleValue(val, "closed_form", est)
+            return ScaleValue(val, "closed_form", 1e-13 * (1.0 + x * pmax))
         # pure stable: Mittag-Leffler forms
         a = self.model.jumps.alpha
         c = self.model.jumps.scale
@@ -422,6 +555,7 @@ class ScaleEngine:
 
     @staticmethod
     def _eval_terms(terms, x, deriv=False):
+        # real part of the sum of the terms at the points x
         total = 0.0 + 0.0j
         for r, p, j in terms:
             fac = math.factorial(j - 1)
@@ -433,11 +567,12 @@ class ScaleEngine:
             else:
                 poly = x ** (j - 1)
             total += r * poly * e / fac
-        return float(total.real)
+        return total.real
 
     # -- contour --------------------------------------------------------------
 
     def _contour(self, q, x, kind):
+        # x > 0; each point keeps its own self-estimate
         m = self.model
 
         if kind == "w":
@@ -450,29 +585,36 @@ class ScaleEngine:
             def transform(s):
                 return 1.0 / (s * (m.psi(s) - q))
 
+        xs = np.atleast_1d(x)
         base = m.phi(q)
-        if _shift(base, x) * x > 700.0:
+        # shift*x grows with x, so the largest x decides
+        if _shift(base, xs.max()) * xs.max() > 700.0:
+            at = xs[_shift(base, xs) * xs > 700.0][0]
             raise InversionFailure(
-                f"exp(shift*x) overflows double precision at q={q}, x={x}; "
+                f"exp(shift*x) overflows double precision at q={q}, x={at}; "
                 "the contour route cannot reach this far into the tail"
             )
         if self.config.inversion == "talbot":
             M = self.config.nodes
-            v1 = _talbot_once(transform, x, M, base)
-            v2 = _talbot_once(transform, x, max(16, (3 * M) // 4), base)
+            v1 = _talbot_once(transform, xs, M, base)
+            v2 = _talbot_once(transform, xs, max(16, (3 * M) // 4), base)
         else:
-            v1 = _bromwich_once(transform, x, base)
-            v2 = _bromwich_once(transform, x, base, m=11, n=24)
+            v1 = _bromwich_once(transform, xs, base)
+            v2 = _bromwich_once(transform, xs, base, m=11, n=24)
         if kind == "z":
             v1 = 1.0 + q * v1
             v2 = 1.0 + q * v2
-        est = abs(v1 - v2) / max(abs(v1), 1e-300)
-        if est > self.config.target and abs(v1) > 1e-250:
+        # a non-finite v1 passes here and is caught by _evaluate
+        size = np.abs(v1)
+        est = np.abs(v1 - v2) / np.maximum(size, 1e-300)
+        bad = (est > self.config.target) & (size > 1e-250)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
             raise InversionFailure(
-                f"contour inversion self-estimate {est:.2e} exceeds target "
-                f"{self.config.target:.2e} at q={q}, x={x}"
+                f"contour inversion self-estimate {est[i]:.2e} exceeds target "
+                f"{self.config.target:.2e} at q={q}, x={xs[i]}"
             )
-        return ScaleValue(v1, "contour", est)
+        return ScaleValue(v1.reshape(np.shape(x)), "contour", est.reshape(np.shape(x)))
 
 
 def _residue_terms(num, den):
@@ -528,7 +670,7 @@ def w_series_check(engine, q, x, n_grid=512):
     domain q*x*W(x) < 1, where the terms are dominated by a geometric
     sequence; outside it SeriesDivergence is raised.
     """
-    q, x = ScaleEngine._check_args(q, x)
+    q, x, _ = ScaleEngine._check_args(q, float(x))
     if x <= 0.0:
         raise BadParameterError("series check needs x > 0")
     evaluate = engine._closed if engine.closed_kind else engine._contour
@@ -536,7 +678,7 @@ def w_series_check(engine, q, x, n_grid=512):
     h = x / n_grid
     w0 = np.empty(n_grid + 1)
     w0[0] = 0.0
-    w0[1:] = [evaluate(0.0, g, "w").value for g in grid[1:]]
+    w0[1:] = evaluate(0.0, grid[1:], "w").value
     wx = w0[-1]
     if q * x * wx >= 1.0:
         raise SeriesDivergence(
@@ -555,7 +697,7 @@ def w_series_check(engine, q, x, n_grid=512):
         n_terms += 1
         if abs(term) <= 1e-13 * abs(total):
             break
-    reference = evaluate(q, x, "w").value
+    reference = float(evaluate(q, x, "w").value)
     rel = (total - reference) / reference if reference != 0.0 else math.inf
     return SeriesCheck(value=total, reference=reference, rel_gap=rel, n_terms=n_terms)
 
@@ -571,7 +713,11 @@ def laplace_roundtrip(engine, q, lam):
         )
     decay = lam - phi_q
     numeric = integrate_semiinfinite(
-        lambda y: math.exp(-lam * y) * engine.w(q, y), a=0.0, decay=decay, rtol=1e-10
+        lambda y: np.exp(-lam * y) * engine.w(q, y),
+        a=0.0,
+        decay=decay,
+        rtol=1e-10,
+        vectorized=True,
     )
     exact = 1.0 / (engine.model.psi(lam) - q)
     return RoundTrip(numeric=numeric, exact=exact, rel_gap=(numeric - exact) / exact)

@@ -223,7 +223,7 @@ def _scale_checks(engine, tol):
     worst = 0.0
     xs = np.linspace(0.05, 6.0, 14)
     for q in (0.0, 2.5):
-        vals = np.array([engine.w(q, float(v)) for v in xs])
+        vals = engine.w(q, xs)
         drop = -float(np.diff(vals).min())
         worst = max(worst, max(0.0, drop) / (1.0 + float(np.abs(vals).max())))
     out.append(_check("scale.monotone", worst,
@@ -250,11 +250,11 @@ def _scale_checks(engine, tol):
     if engine.closed_kind is not None:
         contour = make_engine(model, ScaleConfig(method="contour"))
         worst = 0.0
+        xs = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
         for q in (0.0, 0.5, 2.5):
-            for x in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-                a = engine.w(q, x)
-                b = contour.w(q, x)
-                worst = max(worst, abs(a - b) / abs(a))
+            a = engine.w(q, xs)
+            b = contour.w(q, xs)
+            worst = max(worst, float(np.max(np.abs(a - b) / np.abs(a))))
         out.append(_check("scale.oracle_agreement", worst,
                           "closed form vs contour inversion, full grid", tol))
 
@@ -282,6 +282,7 @@ def _fluct_checks(engine, tol):
             decay=0.0,
             rtol=1e-7,
             atol=1e-10,
+            vectorized=True,
         )
         worst = max(worst, abs(q * (pos + neg) - 1.0))
     out.append(_check("fluct.resolvent_mass", worst,

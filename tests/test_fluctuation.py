@@ -16,7 +16,7 @@ from levyfluct import (
     survival_probability,
 )
 from levyfluct._quadrature import integrate_finite, integrate_semiinfinite
-from conftest import bm
+from conftest import bm, stable_sn
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +223,19 @@ def test_survival_small_drift_far_start():
     engine = make_engine(bm(1e-4))
     exact = -math.expm1(-0.2)
     assert survival_probability(engine, 1000.0) == pytest.approx(exact, rel=1e-9)
+
+
+def test_h_beta_small_y_matches_mittag_leffler():
+    # pure stable: W^(beta)(y) = y^(alpha-1) E_{alpha,alpha}(beta y^alpha/c)/c,
+    # phi(beta) = (beta/c)^(1/alpha) and phi'(beta) = phi/(alpha beta), so
+    # h_beta(y) = W^(beta)(y) - phi' expm1(phi y) in closed form.  Near 0,
+    # h_beta ~ y^(alpha-1) is far below phi', which must not be subtracted
+    alpha, c, beta = 1.9, 1.3, 0.1
+    engine = make_engine(stable_sn(alpha=alpha, scale=c))
+    phi = (beta / c) ** (1.0 / alpha)
+    phip = phi / (alpha * beta)
+    for y in (1e-6, 3e-6, 4e-5, 1e-3, 0.1, 1.0, 3.0):
+        z = beta * y**alpha / c
+        ml = math.fsum(z**k / math.gamma(alpha * k + alpha) for k in range(60))
+        exact = y ** (alpha - 1.0) * ml / c - phip * math.expm1(phi * y)
+        assert h_beta(engine, beta, y) == pytest.approx(exact, rel=1e-10)

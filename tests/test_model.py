@@ -261,3 +261,10 @@ def test_tempered_psi_vanishes_exactly_at_zero():
     assert model.psi(0.0) == 0.0
     report = run_validation(model)
     assert report.ok, [c.name for c in report.failures]
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-14, 1e-16])
+def test_phi_small_q_brownian(q):
+    # psi(lam) = lam^2/2, so phi(q) = sqrt(2q); the stopping rule must be
+    # relative at tiny q, not an absolute floor on |psi - q|
+    assert bm().phi(q) == pytest.approx(math.sqrt(2.0 * q), rel=1e-10)

@@ -6,8 +6,11 @@ import pytest
 from levyfluct import (
     BadConfigError,
     BadParameterError,
+    InversionFailure,
+    LevyModel,
     ScaleConfig,
     SeriesDivergence,
+    TemperedStableJumps,
     laplace_roundtrip,
     make_engine,
     mittag_leffler,
@@ -244,3 +247,67 @@ def test_rational_z_agrees_with_contour():
         for q in (0.5, 2.5):
             for x in (0.01, 0.1, 1.0, 5.0):
                 assert closed.z(q, x) == pytest.approx(contour.z(q, x), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# array calls
+# ---------------------------------------------------------------------------
+
+_ARRAY_X = np.array([-1.0, 0.0, 1e-3, 0.05, 0.5, 1.0, 2.5, 6.0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [bm(), model_b(), stable_sn(), tempered_mixed()],
+    ids=["bm", "model_b", "stable", "tempered"],
+)
+def test_array_calls_match_scalar_calls(model):
+    engine = make_engine(model)
+    grid = _ARRAY_X.reshape(2, 4)
+    for q in (0.0, 0.5, 2.5):
+        for fn in (engine.w, engine.w_prime, engine.z):
+            got = fn(q, grid)
+            want = [fn(q, float(x)) for x in _ARRAY_X]
+            assert isinstance(got, np.ndarray) and got.shape == grid.shape
+            assert all(isinstance(v, float) for v in want)
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+    inside = _ARRAY_X[_ARRAY_X >= 0.0]
+    for q in (0.5, 2.5):
+        for fn in (engine.w_minus_leading, engine.z_minus_leading):
+            got = fn(q, inside)
+            want = [fn(q, float(x)) for x in inside]
+            assert isinstance(got, np.ndarray) and np.all(np.isfinite(got))
+            assert all(isinstance(v, float) for v in want)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        with pytest.raises(BadParameterError):
+            engine.w_minus_leading(q, _ARRAY_X)
+
+
+def test_array_with_a_failing_point_raises():
+    # W'^(0)(5) of this drifting tempered model has decayed below the
+    # contour's noise floor; a batch holding that point must raise for
+    # it, naming it, instead of returning NaN there
+    engine = make_engine(
+        LevyModel(gamma=1.0, sigma2=0.5,
+                  jumps=TemperedStableJumps(alpha=1.5, scale=1.0, tempering=1.0))
+    )
+    with pytest.raises(InversionFailure, match="x=5.0"):
+        engine.w_prime(0.0, np.array([0.1, 1.0, 5.0, 2.0]))
+    with pytest.raises(InversionFailure, match="x=5.0"):
+        engine.w_prime(0.0, 5.0)
+    assert np.all(np.isfinite(engine.w_prime(0.0, np.array([0.1, 1.0, 2.0]))))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("model", [bm(), stable_sn()], ids=["bm", "stable"])
+def test_overflowing_closed_form_raises(model):
+    # exp(phi(2)*1000) is far beyond double precision: a scalar call
+    # raises like an array call instead of returning inf (numpy's
+    # overflow warning comes first)
+    engine = make_engine(model)
+    for fn in (engine.w, engine.w_prime, engine.z):
+        with pytest.raises(InversionFailure, match="x=1000.0"):
+            fn(2.0, 1000.0)
+        with pytest.raises(InversionFailure, match="x=1000.0"):
+            fn(2.0, np.array([1.0, 1000.0]))
