@@ -11,12 +11,11 @@ integrand takes a 1-D array of abscissae and returns the array of its
 values, and every new batch of subintervals costs one integrand call.
 Integrands built on the scale engine's array calls use it, because one
 call on a few hundred points costs little more than one call on a
-single point.  The rule bisects but does not extrapolate.  The
-jump-tail integrals of the excursion layer stay on QUADPACK: near their
-endpoint the integrand behaves like a power of t that only QUADPACK's
-epsilon algorithm (QAGS) resolves within the target, and without it
-every row of a tempered stable model with alpha = 1.6 fails.  Scalar
-callables and finite intervals stay there too.
+single point.  The rule bisects but does not extrapolate, so scalar
+callables and finite intervals stay on QUADPACK, whose epsilon algorithm
+(QAGS) resolves power-law endpoints: among them the jump-tail integrals
+that the validation suite uses as the reference for the closed-form
+excursion intensities.
 """
 
 from __future__ import annotations

@@ -16,9 +16,20 @@ its right inverse phi, and the jump tail.  This module evaluates:
   an excursion, and its recomputation against the occupation density,
 * the Laplace exponent of the inverse local time at 0 and its drift.
 
-Everything is closed-form except two one-dimensional quadratures over
-the jump tail, which are split at u* = 5/max(phi(beta), 1) so that the
-adaptive rule sees the exponentially damped tail separately.
+Everything is closed-form.  The two parts of the partition that
+integrate the jump tail pitail are exact transforms of the exponent:
+with psi_J the jump part of psi,
+
+    integral (1 - exp(-r*y)) pitail(y) dy = psi_J(r)/r  (up to a constant),
+    integral exp(-r*u) * u * pitail(u) du  = its r-derivative,
+
+so the crossing intensities and the overshoot mass come from the jump
+family's ``tail_transform`` and ``tail_moment``.  With them the
+partition holds by algebra, so the quadratures of the paper's
+integrands are kept only as an independent reference: the validation
+suite measures the partition residual with them too, and
+``occupation_overshoot_identity`` recomputes the overshoot mass by a
+double quadrature.
 
 All functions take a ScaleEngine so repeated calls share the engine's
 caches; the model is reached through ``engine.model``.
@@ -160,8 +171,9 @@ def intensity_stay_positive(engine):
 
 
 def _jump_quadrature(engine, integrand, tail_decay):
-    # split at u* so the adaptive rule sees the damped tail separately;
-    # the substitution u = t*t flattens the integrable u**(1-alpha)
+    # independent reference for the closed forms below: split at u* so
+    # the adaptive rule sees the damped tail separately; the
+    # substitution u = t*t flattens the integrable u**(1-alpha)
     # endpoint of the stable families
     m = engine.model
     ustar = 5.0 / max(tail_decay, 1.0)
@@ -177,23 +189,13 @@ def _jump_quadrature(engine, integrand, tail_decay):
     return head + tail
 
 
-def _tail_moment(engine, rate):
-    # integral_0^inf exp(-rate*u) * u * pitail(u) du
-    m = engine.model
-
-    def integrand(u):
-        return math.exp(-rate * u) * u * float(m.pi_tail(u))
-
-    return _jump_quadrature(engine, integrand, rate)
-
-
 def _cross_before(engine, beta):
     # phi(beta) * tail moment at phi(beta), for beta >= 0
     m = engine.model
     phib = m.phi(beta)
-    if phib == 0.0 or isinstance(m.jumps, NoJumps):
+    if phib == 0.0:
         return 0.0
-    return float(phib * _tail_moment(engine, phib))
+    return float(phib * m.jumps.tail_moment(phib))
 
 
 def intensity_cross_before(engine, beta):
@@ -231,26 +233,48 @@ def intensity_negative_start(engine, beta):
 def intensity_cross_after(engine, beta):
     """n(e_beta < tau0minus < zeta): survives e_beta positive, then jumps below.
 
-    integral_0^inf pitail(y) * (exp(-phi(0)*y) - exp(-phi(beta)*y)) dy.
+    integral_0^inf pitail(y) * (exp(-phi(0)*y) - exp(-phi(beta)*y)) dy,
+    the difference of the tail transform at phi(beta) and at phi(0).
     """
     beta = _check_beta(beta)
     m = engine.model
+    tail_transform = m.jumps.tail_transform
+    return float(tail_transform(m.phi(beta)) - tail_transform(m.phi(0.0)))
+
+
+def _quadrature_crossings(engine, beta):
+    # cross_before and cross_after by quadrature of the paper's
+    # integrands, the independent reference for the closed forms
+    m = engine.model
     if isinstance(m.jumps, NoJumps):
-        return 0.0
+        return 0.0, 0.0
     phi0 = m.phi(0.0)
     phib = m.phi(beta)
 
-    def integrand(y):
+    def moment(u):
+        return math.exp(-phib * u) * u * float(m.pi_tail(u))
+
+    def difference(y):
         return float(m.pi_tail(y)) * (math.exp(-phi0 * y) - math.exp(-phib * y))
 
-    return _jump_quadrature(engine, integrand, phi0)
+    before = float(phib * _jump_quadrature(engine, moment, phib))
+    return before, _jump_quadrature(engine, difference, phi0)
+
+
+def _quadrature_residual(engine, table):
+    # the table's residual with both crossings taken from the quadratures
+    before, after = _quadrature_crossings(engine, table.beta)
+    neg = float(0.5 * engine.model.sigma2 * engine.model.phi(table.beta))
+    return table.total - (neg + before + table.upper_creep
+                          + table.stay_positive_forever + after)
 
 
 def decomposition_residual(engine, beta):
     """Total mass minus the partition by first-negative behaviour.
 
-    Should vanish up to quadrature error; reported, not raised, so the
-    validation layer can assert it at its own tolerance.
+    Vanishes up to rounding, since every part is closed-form; reported,
+    not raised, so the validation layer can assert it at its own
+    tolerance.
     """
     return intensity_table(engine, beta).residual
 
@@ -375,12 +399,10 @@ def overshoot_mass(engine):
     nonintegrable tail and no exponential damping rescues it.
     """
     m = engine.model
-    if isinstance(m.jumps, NoJumps):
-        return OvershootMass(0.0, False)
     phi0 = m.phi(0.0)
     if phi0 == 0.0 and math.isinf(m.psi_second(0.0)):
         return OvershootMass(math.inf, True)
-    return OvershootMass(_tail_moment(engine, phi0), False)
+    return OvershootMass(float(m.jumps.tail_moment(phi0)), False)
 
 
 def occupation_overshoot_identity(engine):

@@ -25,6 +25,10 @@ Conventions used throughout the package:
 
 * ``pi_tail(x)`` is the mass of jumps below ``-x``, a nonincreasing
   function of x > 0.
+* Each jump family has two exact transforms of that tail, in closed form:
+  ``tail_transform(r)`` = integral (1 - exp(-r*y)) pi_tail(y) dy, which
+  is the jump part of psi(r)/r up to a constant, and its r-derivative
+  ``tail_moment(r)`` = integral exp(-r*u) * u * pi_tail(u) du.
 * ``phi(q)`` is the largest root of psi(lam) = q; phi(0) > 0 exactly
   when the process drifts to -infinity.
 * The bivariate descending ladder exponent is normalised so that
@@ -104,6 +108,12 @@ class NoJumps:
     def density(self, u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
+    def tail_transform(self, r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
+    def tail_moment(self, r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
     @property
     def mean_at_zero(self):
         return 0.0
@@ -159,6 +169,15 @@ class ExpJumps:
     def density(self, u):
         u = np.asarray(u, dtype=float)
         return self.rate * self.jump_rate * np.exp(-self.jump_rate * u)
+
+    def tail_transform(self, r):
+        r = np.asarray(r, dtype=float)
+        mu = self.jump_rate
+        return self.rate * r / (mu * (mu + r))
+
+    def tail_moment(self, r):
+        r = np.asarray(r, dtype=float)
+        return self.rate / (self.jump_rate + r) ** 2
 
     @property
     def mean_at_zero(self):
@@ -228,6 +247,17 @@ class StableJumps:
         u = np.asarray(u, dtype=float)
         k = _stable_front(self.alpha, self.scale)
         return k * np.power(u, -1.0 - self.alpha)
+
+    def tail_transform(self, r):
+        r = np.asarray(r, dtype=float)
+        return self.scale * np.power(r, self.alpha - 1.0)
+
+    def tail_moment(self, r):
+        # +inf at r = 0, where u * pi_tail(u) ~ u**(1 - alpha) is not integrable
+        r = np.asarray(r, dtype=float)
+        a = self.alpha
+        with np.errstate(divide="ignore"):
+            return self.scale * (a - 1.0) * np.power(r, a - 2.0)
 
     @property
     def mean_at_zero(self):
@@ -307,6 +337,17 @@ class TemperedStableJumps:
         k = _stable_front(self.alpha, self.scale)
         return k * np.exp(-self.tempering * u) * np.power(u, -1.0 - self.alpha)
 
+    def tail_transform(self, r):
+        # scale*[((r+theta)**alpha - theta**alpha)/r - alpha*theta**(alpha-1)]
+        a, th = self.alpha, self.tempering
+        transform, _ = _tempered_tails(a, np.asarray(r, dtype=float) / th)
+        return self.scale * th ** (a - 1.0) * transform
+
+    def tail_moment(self, r):
+        a, th = self.alpha, self.tempering
+        _, moment = _tempered_tails(a, np.asarray(r, dtype=float) / th)
+        return self.scale * th ** (a - 2.0) * moment
+
     @property
     def mean_at_zero(self):
         return 0.0
@@ -334,6 +375,47 @@ class TemperedStableJumps:
             "scale": self.scale,
             "tempering": self.tempering,
         }
+
+
+# the tempered tail transforms in s = r/theta, without their prefactors
+# scale*theta**(alpha-1) and scale*theta**(alpha-2).  The direct forms
+# subtract alpha from a quotient of size alpha to leave C(alpha, 2)*s,
+# so they lose about eps/(C(alpha, 2)*s) relative; below the switch the
+# binomial series takes over, whose terms fall like s**n
+_SERIES_SWITCH = 0.5
+_SERIES_TERMS = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _binomials(alpha):
+    # C(alpha, n) for n = 2 .. _SERIES_TERMS + 1
+    n = np.arange(1.0, _SERIES_TERMS + 2.0)
+    out = np.cumprod((alpha + 1.0 - n) / n)[1:]
+    out.flags.writeable = False
+    return out
+
+
+def _tempered_series(alpha, s):
+    # sum_{n>=2} C(alpha, n) s**(n-1) and its s-derivative
+    c = _binomials(alpha)
+    k = np.arange(c.size)  # n - 2
+    powers = s[:, None] ** k
+    return s * (powers @ c), powers @ ((k + 1.0) * c)
+
+
+def _tempered_direct(alpha, s):
+    # ((1+s)**alpha - 1)/s - alpha and its s-derivative
+    grown = np.expm1(alpha * np.log1p(s)) / s
+    return grown - alpha, (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s
+
+
+def _tempered_tails(alpha, s):
+    flat = np.atleast_1d(s).ravel()
+    transform, moment = np.empty_like(flat), np.empty_like(flat)
+    small = flat < _SERIES_SWITCH
+    transform[small], moment[small] = _tempered_series(alpha, flat[small])
+    transform[~small], moment[~small] = _tempered_direct(alpha, flat[~small])
+    return transform.reshape(np.shape(s)), moment.reshape(np.shape(s))
 
 
 _FAMILIES = {

@@ -159,12 +159,22 @@ def mittag_leffler(a, b, z):
     return _shaped(out.reshape(np.shape(z)), shape)
 
 
+_ML_KS = np.arange(0, 320, dtype=float)
+
+
+@functools.lru_cache(maxsize=64)
+def _ml_log_gammas(a, b):
+    # log Gamma(a*k + b) of the series terms, once per (a, b)
+    out = special.gammaln(a * _ML_KS + b)
+    out.flags.writeable = False
+    return out
+
+
 def _ml_series_sum(a, b, z):
     # the first 320 terms of the power series, at 0 <= z <= 80
-    ks = np.arange(0, 320, dtype=float)
     logs = np.log(np.maximum(z, _TINY))[:, None]
     with np.errstate(under="ignore"):
-        sums = np.exp(logs * ks - special.gammaln(a * ks + b)).sum(axis=1)
+        sums = np.exp(logs * _ML_KS - _ml_log_gammas(a, b)).sum(axis=1)
     # z = 0 leaves only the k = 0 term
     sums[z == 0.0] = special.rgamma(b)
     return sums

@@ -215,3 +215,69 @@ def test_constant_a_by_regime(engine_bm0, engine_b, engine_stable, engine_temper
     m = engine_tempered.model
     assert constant_A(engine_tempered) == pytest.approx(
         1.0 / m.psi_second(0.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# closed-form crossing intensities
+# ---------------------------------------------------------------------------
+
+from levyfluct import (  # noqa: E402
+    LevyModel,
+    StableJumps,
+    TemperedStableJumps,
+    intensity_cross_after,
+    make_engine,
+)
+from levyfluct.excursion import _quadrature_crossings  # noqa: E402
+
+
+def _tempered(gamma, sigma2, alpha, scale, tempering):
+    return LevyModel(gamma=gamma, sigma2=sigma2,
+                     jumps=TemperedStableJumps(alpha=alpha, scale=scale, tempering=tempering))
+
+
+def test_stable_cross_after_at_tiny_beta_is_closed_form(engine_stable):
+    # scale * phi(beta)^(alpha - 1); a quadrature of the difference of two
+    # nearly equal exponentials returned a negative value here
+    m = engine_stable.model
+    beta = 1e-13
+    want = m.jumps.scale * m.phi(beta) ** (m.jumps.alpha - 1.0)
+    got = intensity_cross_after(engine_stable, beta)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_stable_with_drift_crossings_at_small_beta():
+    m = LevyModel(gamma=0.5, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=1.0))
+    engine = make_engine(m)
+    beta = 1e-6
+    phib = m.phi(beta)
+    # phi(0) = 0 here, so both are powers of phi(beta)
+    assert intensity_cross_before(engine, beta) == pytest.approx(0.5 * phib**0.5, rel=1e-12)
+    assert intensity_cross_after(engine, beta) == pytest.approx(phib**0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, betas", [
+    # small tempering: the jump tail is a bare power tail out to u ~ 100
+    (_tempered(0.0, 1.0, 1.9, 0.8, 0.01), (0.1, 0.5, 2.5, 10.0)),
+    (_tempered(0.0, 1.0061488508169703, 1.621069576555539, 0.785206843435043,
+               1.5229388446766987), (0.49635540561933056,)),
+])
+def test_intensity_table_closes_where_quadrature_failed(model, betas):
+    engine = make_engine(model)
+    for beta in betas:
+        t = intensity_table(engine, beta)
+        values = [v for k, v in t.as_dict().items() if k != "beta"]
+        assert all(math.isfinite(v) for v in values)
+        assert abs(t.residual) <= 1e-12 * t.total
+
+
+def test_closed_crossings_match_quadrature(engine_b, engine_stable, engine_tempered):
+    # tempered_mixed is also the tempered model of the benchmark's tables;
+    # the drifting-up tempered model is the one of its fault table
+    drifting = make_engine(_tempered(1.0, 0.5, 1.5, 1.0, 1.0))
+    for engine in (engine_b, engine_stable, engine_tempered, drifting):
+        for beta in (0.1, 0.5, 2.5, 10.0):
+            before, after = _quadrature_crossings(engine, beta)
+            assert intensity_cross_before(engine, beta) == pytest.approx(before, rel=1e-9)
+            assert intensity_cross_after(engine, beta) == pytest.approx(after, rel=1e-9)

@@ -268,3 +268,15 @@ def test_phi_small_q_brownian(q):
     # psi(lam) = lam^2/2, so phi(q) = sqrt(2q); the stopping rule must be
     # relative at tiny q, not an absolute floor on |psi - q|
     assert bm().phi(q) == pytest.approx(math.sqrt(2.0 * q), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.6, 1.9])
+def test_tempered_tail_series_meets_direct_form(alpha):
+    # the tempered tail transforms switch from the binomial series to the
+    # direct form at s = r/theta = _SERIES_SWITCH; both branches must agree
+    # on either side of it
+    from levyfluct.model import _SERIES_SWITCH, _tempered_direct, _tempered_series
+
+    s = _SERIES_SWITCH * np.array([0.9, 0.999, 1.0, 1.001, 1.1])
+    for series, direct in zip(_tempered_series(alpha, s), _tempered_direct(alpha, s)):
+        assert np.max(np.abs(series - direct) / np.abs(direct)) <= 1e-13
