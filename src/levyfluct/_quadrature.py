@@ -5,17 +5,18 @@ semi-infinite integrals with a known exponential decay rate onto (0, 1]
 so the sampler sees a bounded, well-scaled integrand, and (b) turn
 scipy's reports of unreliable results into exceptions.
 
-With ``vectorized=True`` a semi-infinite integral runs on an adaptive
-21-point Gauss-Kronrod rule written in numpy instead of QUADPACK: the
-integrand takes a 1-D array of abscissae and returns the array of its
-values, and every new batch of subintervals costs one integrand call.
-Integrands built on the scale engine's array calls use it, because one
-call on a few hundred points costs little more than one call on a
-single point.  The rule bisects but does not extrapolate, so scalar
-callables and finite intervals stay on QUADPACK, whose epsilon algorithm
-(QAGS) resolves power-law endpoints: among them the jump-tail integrals
-that the validation suite uses as the reference for the closed-form
-excursion intensities.
+With ``vectorized=True`` either wrapper runs on an adaptive 21-point
+Gauss-Kronrod rule written in numpy instead of QUADPACK: the integrand
+takes a 1-D array of abscissae and returns the array of its values, and
+every new batch of subintervals costs one integrand call.  Integrands
+built on the scale engine's array calls or on the jump families' array
+tails use it, because one call on a few hundred points costs little more
+than one call on a single point.  The rule bisects but does not
+extrapolate, so a power-law endpoint is first made bounded by the graded
+map of :func:`integrate_graded`; the jump-tail integrals behind the
+excursion and ladder references and the transforms of W at sigma2 = 0
+take that route.  Scalar callables stay on QUADPACK, whose epsilon
+algorithm (QAGS) resolves such endpoints itself.
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ def _gk21(f, lo, hi):
     return kronrod * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
-def _adaptive(f, a, b, rtol, atol):
+def _adaptive(f, a, b, rtol, atol, points=()):
     # globally adaptive bisection: each round bisects the fewest intervals
     # of largest error that leave the rest within half the tolerance, all
     # in one batch, until the total error estimate meets the tolerance or
-    # the _LIMIT intervals are spent
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    # the _LIMIT intervals are spent.  Break points start as interval ends
+    edges = np.array([float(a), *sorted(points), float(b)])
+    lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk21(f, lo, hi)
     while True:
         total, err = float(np.sum(vals)), float(np.sum(errs))
@@ -132,10 +134,63 @@ def _checked(val, err, where, rtol, atol):
     return val
 
 
-def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13):
-    """Integrate f over [a, b] with QUADPACK, raising on an unreliable result."""
-    val, err = _quiet_quad(f, a, b, points=points, epsrel=rtol, epsabs=atol, limit=_LIMIT)
+def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13, vectorized=False):
+    """Integrate f over [a, b], raising on an unreliable result.
+
+    QUADPACK by default; with ``vectorized`` f maps an array of abscissae
+    to an array of values and the array Gauss-Kronrod rule replaces it.
+    """
+    if vectorized:
+        val, err = _adaptive(f, a, b, rtol, atol, points or ())
+    else:
+        val, err = _quiet_quad(f, a, b, points=points, epsrel=rtol, epsabs=atol,
+                               limit=_LIMIT)
     return _checked(val, err, f"[{a}, {b}]", rtol, atol)
+
+
+def _tail_map(t, a, decay, grade=1.0):
+    # x in [a, inf) and dx/dt for t in (0, 1]: x = a - log(t)/decay, or
+    # without a decay rate x = a + (1 - r)/r with r = t**grade
+    with np.errstate(divide="ignore"):
+        if decay > 0.0:
+            return a - np.log(t) / decay, 1.0 / (decay * t)
+        r = t**grade
+        return a + (1.0 - r) / r, grade / (t * r)
+
+
+def integrate_graded(f, split, grade, *, decay=0.0, tail_grade=1.0, rtol=1e-10,
+                     atol=1e-13):
+    """Integrate the array function f over (0, inf) on the array rule.
+
+    The head (0, split] takes u = split * s**grade, s in (0, 1], which
+    bounds an endpoint f(u) ~ u**(1/grade - 1).  The tail takes the map
+    of :func:`integrate_semiinfinite` when f decays like exp(-decay*x);
+    with decay = 0 it takes x = split + (1 - r)/r with r = t**tail_grade,
+    which bounds a power tail f(x) ~ x**(-1 - 1/tail_grade).
+
+    Both pieces run in one adaptive pass with one error target, on
+    [-1, 1] with the tail at t = -z and the head at s = z, so that both
+    singular ends sit at z = 0 where floats are densest.  A node where a
+    map leaves the floats (u or r underflows to 0) gets the value 0
+    instead of an inf * 0; the mapped integrand is bounded, and for
+    grades up to 20 such nodes lie within 1e-15 of z = 0.
+    """
+    def g(z):
+        s = z[z > 0.0]
+        t = -z[z <= 0.0]
+        u = split * s**grade
+        x, tail_jac = _tail_map(t, split, decay, tail_grade)
+        nodes = np.concatenate([x, u])
+        jac = np.concatenate([tail_jac, grade * u / s])
+        live = (nodes > 0.0) & np.isfinite(jac)
+        vals = np.zeros_like(nodes)
+        vals[live] = f(nodes[live]) * jac[live]
+        out = np.empty_like(z)
+        out[z <= 0.0], out[z > 0.0] = vals[: t.size], vals[t.size:]
+        return out
+
+    return integrate_finite(g, -1.0, 1.0, points=(0.0,), rtol=rtol, atol=atol,
+                            vectorized=True)
 
 
 def integrate_semiinfinite(f, a=0.0, *, decay=1.0, rtol=1e-10, atol=1e-13,
@@ -150,12 +205,9 @@ def integrate_semiinfinite(f, a=0.0, *, decay=1.0, rtol=1e-10, atol=1e-13,
     rule replaces QUADPACK.
     """
     if vectorized:
-        if decay > 0.0:
-            def g(u):
-                return f(a - np.log(u) / decay) / (decay * u)
-        else:
-            def g(t):
-                return f(a + (1.0 - t) / t) / (t * t)
+        def g(t):
+            x, jac = _tail_map(t, a, decay)
+            return f(x) * jac
 
         val, err = _adaptive(g, 0.0, 1.0, rtol, atol)
     elif decay > 0.0:

@@ -285,8 +285,8 @@ def _build_parser():
         description="Scale functions, fluctuation identities, excursion "
                     "intensities, and Monte Carlo cross-checks for "
                     "spectrally negative Levy processes.",
-        epilog="LEVY_FLUCT_THREADS caps the validation worker count "
-               f"(currently {worker_count()}).",
+        epilog="LEVY_FLUCT_THREADS runs the validation suites on that many "
+               f"threads (currently {worker_count()}; default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,7 +29,10 @@ partition holds by algebra, so the quadratures of the paper's
 integrands are kept only as an independent reference: the validation
 suite measures the partition residual with them too, and
 ``occupation_overshoot_identity`` recomputes the overshoot mass by a
-double quadrature.
+double quadrature.  Those integrals (and the ladder form of the
+validation suite) run on the array Gauss-Kronrod rule over the jump
+family's array tail, with graded maps that bound the u**(1 - alpha)
+endpoint at 0 and a bare power tail at infinity.
 
 All functions take a ScaleEngine so repeated calls share the engine's
 caches; the model is reached through ``engine.model``.
@@ -40,7 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._quadrature import integrate_finite, integrate_semiinfinite
+import numpy as np
+
+from ._quadrature import integrate_finite, integrate_graded, integrate_semiinfinite
 from .errors import BadParameterError, DegenerateDenominator
 from .model import NoJumps, _tail_decay_hint
 
@@ -170,23 +175,24 @@ def intensity_stay_positive(engine):
     return max(engine.model.mean, 0.0)
 
 
-def _jump_quadrature(engine, integrand, tail_decay):
-    # independent reference for the closed forms below: split at u* so
-    # the adaptive rule sees the damped tail separately; the
-    # substitution u = t*t flattens the integrable u**(1-alpha)
-    # endpoint of the stable families
-    m = engine.model
-    ustar = 5.0 / max(tail_decay, 1.0)
-    head = integrate_finite(
-        lambda t: 2.0 * t * integrand(t * t),
-        0.0,
-        math.sqrt(ustar),
-        rtol=1e-10,
-        atol=1e-10,
-    )
-    decay = tail_decay + _tail_decay_hint(m.jumps)
-    tail = integrate_semiinfinite(integrand, a=ustar, decay=decay, rtol=1e-10, atol=1e-10)
-    return head + tail
+def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
+    # integral over (0, inf) of an array integrand that behaves like
+    # u * pitail(u) at 0 and like exp(-tail_decay*u) * pitail(u) at
+    # infinity, on the array rule: the independent reference for the
+    # closed forms below.  For the stable families the graded maps bound
+    # the u**(1-alpha) endpoint of the head and the pitail(u) ~ u**(-alpha)
+    # of a bare power tail (stable, tail_decay = 0); the compound Poisson
+    # tail is bounded at 0 and decays exponentially as it stands.  The
+    # tail takes no exponential map even where a decay rate exists: at a
+    # rate as small as phi(0) = 3.5e-11 (stable, gamma = -0.3, alpha =
+    # 1.05) that map squeezes the power-law part into the last 1e-11 of
+    # the rule's interval, and the integral came out 5e-9 off
+    if jumps.infinite_variation:
+        grade, tail_grade = 1.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
+    else:
+        grade = tail_grade = 1.0
+    return integrate_graded(integrand, 5.0 / max(tail_decay, 1.0), grade,
+                            tail_grade=tail_grade, rtol=rtol, atol=atol)
 
 
 def _cross_before(engine, beta):
@@ -242,23 +248,28 @@ def intensity_cross_after(engine, beta):
     return float(tail_transform(m.phi(beta)) - tail_transform(m.phi(0.0)))
 
 
+def _tail_difference(jumps, phi0, phib, y):
+    # pitail(y) * (exp(-phi0*y) - exp(-phib*y)); expm1 keeps the
+    # difference at small y, where exp(-phi0*y) rounds to 1
+    return jumps.tail(y) * (np.expm1(-phi0 * y) - np.expm1(-phib * y))
+
+
 def _quadrature_crossings(engine, beta):
     # cross_before and cross_after by quadrature of the paper's
     # integrands, the independent reference for the closed forms
     m = engine.model
-    if isinstance(m.jumps, NoJumps):
+    jumps = m.jumps
+    if isinstance(jumps, NoJumps):
         return 0.0, 0.0
     phi0 = m.phi(0.0)
     phib = m.phi(beta)
 
     def moment(u):
-        return math.exp(-phib * u) * u * float(m.pi_tail(u))
+        return np.exp(-phib * u) * u * jumps.tail(u)
 
-    def difference(y):
-        return float(m.pi_tail(y)) * (math.exp(-phi0 * y) - math.exp(-phib * y))
-
-    before = float(phib * _jump_quadrature(engine, moment, phib))
-    return before, _jump_quadrature(engine, difference, phi0)
+    before = float(phib * _jump_quadrature(jumps, moment, phib))
+    after = _jump_quadrature(jumps, lambda y: _tail_difference(jumps, phi0, phib, y), phi0)
+    return before, after
 
 
 def _quadrature_residual(engine, table):
@@ -440,9 +451,10 @@ def occupation_overshoot_identity(engine):
         )
 
     def outer(y):
-        return math.exp(-phi0 * y) * tail_weight(y)
+        # the scalar inner quadrature, mapped over the outer nodes
+        return np.exp(-phi0 * y) * np.array([tail_weight(v) for v in y])
 
-    via = _jump_quadrature(engine, outer, phi0)
+    via = _jump_quadrature(m.jumps, outer, phi0)
     return direct.value, via
 
 

@@ -59,6 +59,16 @@ def _check_positive(name, value):
     return value
 
 
+def _check_points(name, x):
+    # a float, or a numpy array of points that stays an array
+    if not isinstance(x, np.ndarray):
+        return _check_positive(name, x)
+    x = x.astype(float)
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise BadParameterError(f"{name} must be finite and > 0 at every point")
+    return x
+
+
 def resolvent_density(engine, q, y):
     """Density u_q(y) of the resolvent of the process killed at rate q.
 
@@ -135,21 +145,25 @@ def creeping_probability(engine, x):
     (sigma2/2)(W'(x) - phi(0) W(x)); zero without a Gaussian part.  The
     raw value is returned unclamped so a violation of [0, 1] beyond the
     engine's error estimate shows up in tests instead of being hidden.
+    x may be a float or a numpy array; the result has the same form.
     """
-    x = _check_positive("x", x)
+    x = _check_points("x", x)
     m = engine.model
     if m.sigma2 == 0.0:
-        return 0.0
+        return 0.0 * x
     phi0 = float(m.phi(0.0))
     return 0.5 * m.sigma2 * (engine.w_prime(0.0, x) - phi0 * engine.w(0.0, x))
 
 
 def survival_probability(engine, x):
-    """P_x(tau0minus = inf) = psi'(0+) W(x); zero unless drifting to +inf."""
-    x = _check_positive("x", x)
+    """P_x(tau0minus = inf) = psi'(0+) W(x); zero unless drifting to +inf.
+
+    x may be a float or a numpy array; the result has the same form.
+    """
+    x = _check_points("x", x)
     mean = engine.model.mean
     if mean <= 0.0:
-        return 0.0
+        return 0.0 * x
     return mean * engine.w(0.0, x)
 
 

@@ -340,12 +340,12 @@ class TemperedStableJumps:
     def tail_transform(self, r):
         # scale*[((r+theta)**alpha - theta**alpha)/r - alpha*theta**(alpha-1)]
         a, th = self.alpha, self.tempering
-        transform, _ = _tempered_tails(a, np.asarray(r, dtype=float) / th)
+        transform = _tempered_tail(a, np.asarray(r, dtype=float) / th, "transform")
         return self.scale * th ** (a - 1.0) * transform
 
     def tail_moment(self, r):
         a, th = self.alpha, self.tempering
-        _, moment = _tempered_tails(a, np.asarray(r, dtype=float) / th)
+        moment = _tempered_tail(a, np.asarray(r, dtype=float) / th, "moment")
         return self.scale * th ** (a - 2.0) * moment
 
     @property
@@ -395,27 +395,34 @@ def _binomials(alpha):
     return out
 
 
-def _tempered_series(alpha, s):
-    # sum_{n>=2} C(alpha, n) s**(n-1) and its s-derivative
+_PARTS = ("transform", "moment")
+
+
+def _tempered_series(alpha, s, parts=_PARTS):
+    # sum_{n>=2} C(alpha, n) s**(n-1) ("transform") and its s-derivative
+    # ("moment"), each computed only when asked for in parts
     c = _binomials(alpha)
     k = np.arange(c.size)  # n - 2
     powers = s[:, None] ** k
-    return s * (powers @ c), powers @ ((k + 1.0) * c)
+    return tuple(s * (powers @ c) if part == "transform" else powers @ ((k + 1.0) * c)
+                 for part in parts)
 
 
-def _tempered_direct(alpha, s):
-    # ((1+s)**alpha - 1)/s - alpha and its s-derivative
+def _tempered_direct(alpha, s, parts=_PARTS):
+    # ((1+s)**alpha - 1)/s - alpha and its s-derivative, as asked for in parts
     grown = np.expm1(alpha * np.log1p(s)) / s
-    return grown - alpha, (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s
+    return tuple(grown - alpha if part == "transform"
+                 else (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s
+                 for part in parts)
 
 
-def _tempered_tails(alpha, s):
+def _tempered_tail(alpha, s, part):
     flat = np.atleast_1d(s).ravel()
-    transform, moment = np.empty_like(flat), np.empty_like(flat)
+    out = np.empty_like(flat)
     small = flat < _SERIES_SWITCH
-    transform[small], moment[small] = _tempered_series(alpha, flat[small])
-    transform[~small], moment[~small] = _tempered_direct(alpha, flat[~small])
-    return transform.reshape(np.shape(s)), moment.reshape(np.shape(s))
+    (out[small],) = _tempered_series(alpha, flat[small], (part,))
+    (out[~small],) = _tempered_direct(alpha, flat[~small], (part,))
+    return out.reshape(np.shape(s))
 
 
 _FAMILIES = {

@@ -505,15 +505,15 @@ def _finish(n, mean, m2, target, crossings=None, allowance=None):
 
 def _grid_mean(values, fn):
     # mean of fn over the sampled points via a 256-point interpolation
-    # table; the consumers are truncation allowances, not estimates
+    # table, from one call of fn on the array of table points; the
+    # consumers are truncation allowances, not estimates
     if values.size == 0:
         return 0.0
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:
-        return float(fn(lo))
+        return float(fn(np.array([lo]))[0])
     xs = np.linspace(lo, hi, 256)
-    ys = np.array([fn(float(v)) for v in xs])
-    return float(np.interp(values, xs, ys).mean())
+    return float(np.interp(values, xs, fn(xs)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +628,8 @@ def estimate_creeping(model, config, x):
     target = fluctuation.creeping_probability(engine, x)
     survivors = np.concatenate(finals) if finals else np.empty(0)
     allowance = (survivors.size / n) * _grid_mean(
-        survivors, lambda v: fluctuation.creeping_probability(engine, max(v, 1e-12))
+        survivors,
+        lambda v: fluctuation.creeping_probability(engine, np.maximum(v, 1e-12)),
     )
     return _finish(n, mean, m2, target, crossings, float(allowance))
 
@@ -658,9 +659,8 @@ def estimate_survival(model, config, x):
     survivors = np.concatenate(finals) if finals else np.empty(0)
     allowance = (survivors.size / n) * _grid_mean(
         survivors,
-        lambda v: min(
-            max(1.0 - fluctuation.survival_probability(engine, max(v, 1e-12)), 0.0),
-            1.0,
+        lambda v: np.clip(
+            1.0 - fluctuation.survival_probability(engine, np.maximum(v, 1e-12)), 0.0, 1.0
         ),
     )
     return _finish(n, mean, m2, target, None, float(allowance))

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._quadrature import integrate_semiinfinite
+from ._quadrature import integrate_graded
 from .errors import (
     BadConfigError,
     BadParameterError,
@@ -712,6 +712,21 @@ def w_series_check(engine, q, x, n_grid=512):
     return SeriesCheck(value=total, reference=reference, rel_gap=rel, n_terms=n_terms)
 
 
+def _integrate_on_w(model, f, decay, *, rtol, atol=1e-13):
+    # integral over (0, inf) of an array integrand built on W that decays
+    # like exp(-decay*y) (decay = 0: no known rate).  W is not analytic at
+    # 0 (a series in y**(alpha-1) without a Gaussian part), which
+    # bisection resolves only slowly, so the head up to y* = 5/max(decay, 1)
+    # takes the graded map y = y* s**k: k >= 3 keeps y**(alpha-1) dy twice
+    # differentiable in s, and at sigma2 = 0, k = 1/(alpha-1) makes each
+    # term of the series a power of s
+    grade = 3.0
+    if model.sigma2 == 0.0:
+        grade = max(grade, 1.0 / (model.jumps.alpha - 1.0))
+    return integrate_graded(f, 5.0 / max(decay, 1.0), grade, decay=decay, rtol=rtol,
+                            atol=atol)
+
+
 def laplace_roundtrip(engine, q, lam):
     """Numerically transform W^(q) back and compare with 1/(psi(lam) - q)."""
     q = float(q)
@@ -721,13 +736,8 @@ def laplace_roundtrip(engine, q, lam):
         raise BadParameterError(
             f"roundtrip needs lam > phi(q) = {phi_q:.6g}, got lam = {lam}"
         )
-    decay = lam - phi_q
-    numeric = integrate_semiinfinite(
-        lambda y: np.exp(-lam * y) * engine.w(q, y),
-        a=0.0,
-        decay=decay,
-        rtol=1e-10,
-        vectorized=True,
+    numeric = _integrate_on_w(
+        engine.model, lambda y: np.exp(-lam * y) * engine.w(q, y), lam - phi_q, rtol=1e-10
     )
     exact = 1.0 / (engine.model.psi(lam) - q)
     return RoundTrip(numeric=numeric, exact=exact, rel_gap=(numeric - exact) / exact)

@@ -13,17 +13,21 @@ Tolerances live in one table so the CLI can override them uniformly.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import integrate_semiinfinite
 from . import excursion, fluctuation, montecarlo
-from .model import NoJumps, Regime, _tail_decay_hint, model_to_dict
-from .scale import ScaleConfig, laplace_roundtrip, make_engine, w_series_check
+from .model import NoJumps, Regime, model_to_dict
+from .scale import (
+    ScaleConfig,
+    _integrate_on_w,
+    laplace_roundtrip,
+    make_engine,
+    w_series_check,
+)
 
 __all__ = ["CheckResult", "ValidationReport", "TOLERANCES", "run_validation"]
 
@@ -130,20 +134,22 @@ def _ladder_lk(model, lam):
     # single quadrature of the jump tail against the ladder kernel,
     # which stays integrable even for bare power tails
     base = max(model.mean, 0.0) + 0.5 * model.sigma2 * lam
-    if isinstance(model.jumps, NoJumps):
+    jumps = model.jumps
+    if isinstance(jumps, NoJumps):
         return base
     phi0 = float(model.phi(0.0))
-    gap = lam - phi0
+    gap = abs(lam - phi0)
 
     def kern(z):
-        if abs(gap) < 1e-12:
+        # w(z) exp(-phi0 z) with w = lam (1 - exp(-(lam - phi0) z))/(lam - phi0),
+        # written without the growing exponential of lam < phi0
+        if gap < 1e-12:
             w = lam * z
         else:
-            w = lam * (1.0 - math.exp(-gap * z)) / gap
-        return w * math.exp(-phi0 * z) * float(model.pi_tail(z))
+            w = -lam * np.expm1(-gap * z) / gap
+        return w * np.exp(-min(lam, phi0) * z) * jumps.tail(z)
 
-    decay = min(lam, phi0) + _tail_decay_hint(model.jumps)
-    tail = integrate_semiinfinite(kern, decay=decay, rtol=1e-9, atol=1e-12)
+    tail = excursion._jump_quadrature(jumps, kern, min(lam, phi0), rtol=1e-9, atol=1e-12)
     return base + tail
 
 
@@ -277,12 +283,12 @@ def _fluct_checks(engine, tol):
     for q in (0.5, 2.0, 10.0):
         phi = float(model.phi(q))
         pos = float(model.phi_prime(q)) / phi
-        neg = integrate_semiinfinite(
+        neg = _integrate_on_w(
+            model,
             lambda y: fluctuation.resolvent_density(engine, q, -y),
-            decay=0.0,
+            0.0,
             rtol=1e-7,
             atol=1e-10,
-            vectorized=True,
         )
         worst = max(worst, abs(q * (pos + neg) - 1.0))
     out.append(_check("fluct.resolvent_mass", worst,
@@ -486,23 +492,24 @@ def _mc_checks(model, tol, paths, dt, seed):
 
 
 def worker_count():
+    # the suites hold the interpreter lock nearly all the time, so a pool
+    # only interleaves them: one thread is the default, and threads are
+    # taken only when LEVY_FLUCT_THREADS asks for them
     cap = os.environ.get("LEVY_FLUCT_THREADS", "")
     try:
         n = int(cap)
     except ValueError:
         n = 0
-    if n >= 1:
-        return n
-    return min(4, os.cpu_count() or 1)
+    return max(n, 1)
 
 
 def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
                    tolerances=None):
     """Run every invariant suite on one model.
 
-    Suites execute on a small thread pool (capped by LEVY_FLUCT_THREADS)
-    but the report is assembled in fixed suite order, so the output is
-    deterministic regardless of scheduling.
+    Suites run one after another, or on a pool of LEVY_FLUCT_THREADS
+    threads when that is above 1; the report is assembled in fixed suite
+    order, so the output is deterministic regardless of scheduling.
     """
     tol = dict(TOLERANCES)
     if tolerances:
@@ -521,8 +528,12 @@ def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
     if with_mc:
         jobs.append(lambda: _mc_checks(model, tol, paths, dt, seed))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        checks = [c for f in futures for c in f.result()]
+    workers = worker_count()
+    if workers == 1:
+        checks = [c for job in jobs for c in job()]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(job) for job in jobs]
+            checks = [c for f in futures for c in f.result()]
 
     return ValidationReport(model=model_to_dict(model), checks=tuple(checks))

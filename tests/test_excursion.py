@@ -281,3 +281,51 @@ def test_closed_crossings_match_quadrature(engine_b, engine_stable, engine_tempe
             before, after = _quadrature_crossings(engine, beta)
             assert intensity_cross_before(engine, beta) == pytest.approx(before, rel=1e-9)
             assert intensity_cross_after(engine, beta) == pytest.approx(after, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# jump-tail references on the array rule
+# ---------------------------------------------------------------------------
+
+import numpy as np  # noqa: E402
+
+
+def _stable(gamma, sigma2, alpha):
+    return LevyModel(gamma=gamma, sigma2=sigma2, jumps=StableJumps(alpha=alpha, scale=1.0))
+
+
+# stable models with phi(0) = 0 (a bare power tail) and drifting down
+# (phi(0) = 3.5e-11 at alpha = 1.05: a power tail cut off very far out);
+# tempered with and without a Gaussian part
+REFERENCE_MODELS = [
+    _stable(gamma, sigma2, alpha)
+    for alpha in (1.05, 1.5, 1.95)
+    for gamma, sigma2 in ((0.5, 0.0), (-0.3, 0.5))
+] + [
+    _tempered(gamma, sigma2, alpha, 0.8, 1.5)
+    for alpha in (1.5, 1.95)
+    for gamma, sigma2 in ((0.0, 1.0), (1.0, 0.0))
+]
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=repr)
+def test_array_quadrature_crossings_match_closed_forms(model):
+    engine = make_engine(model)
+    for beta in (0.1, 0.5, 2.5, 10.0):
+        before, after = _quadrature_crossings(engine, beta)
+        assert before == pytest.approx(intensity_cross_before(engine, beta), rel=1e-9)
+        assert after == pytest.approx(intensity_cross_after(engine, beta), rel=1e-9)
+
+
+def test_tail_difference_keeps_small_arguments():
+    # exp(-0*y) - exp(-phib*y) rounds to 0 below y ~ 1e-17 and keeps only
+    # about 4 digits at 1e-12; the expm1 form keeps pitail(y)*phib*y
+    from levyfluct.excursion import _tail_difference
+
+    jumps = StableJumps(alpha=1.95, scale=1.0)
+    y = np.array([1e-12, 1e-20])
+    got = _tail_difference(jumps, 0.0, 2.0, y)
+    want = jumps.tail(y) * -np.expm1(-2.0 * y)
+    assert np.all(got > 0.0)
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert got[0] == pytest.approx(float(jumps.tail(1e-12)) * 2e-12, rel=1e-11)

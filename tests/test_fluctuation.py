@@ -239,3 +239,18 @@ def test_h_beta_small_y_matches_mittag_leffler():
         ml = math.fsum(z**k / math.gamma(alpha * k + alpha) for k in range(60))
         exact = y ** (alpha - 1.0) * ml / c - phip * math.expm1(phi * y)
         assert h_beta(engine, beta, y) == pytest.approx(exact, rel=1e-10)
+
+
+def test_creeping_and_survival_take_arrays(engine_b, engine_stable):
+    import numpy as np
+
+    from levyfluct import BadParameterError
+
+    xs = np.linspace(0.05, 3.0, 40)
+    for engine in (engine_b, engine_stable):
+        for fn in (creeping_probability, survival_probability):
+            got = fn(engine, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            assert np.array_equal(got, [fn(engine, float(x)) for x in xs])
+    with pytest.raises(BadParameterError):
+        creeping_probability(engine_b, np.array([1.0, 0.0]))

@@ -280,3 +280,15 @@ def test_tempered_tail_series_meets_direct_form(alpha):
     s = _SERIES_SWITCH * np.array([0.9, 0.999, 1.0, 1.001, 1.1])
     for series, direct in zip(_tempered_series(alpha, s), _tempered_direct(alpha, s)):
         assert np.max(np.abs(series - direct) / np.abs(direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.6, 1.95])
+def test_tempered_tail_parts_computed_alone_are_bit_identical(alpha):
+    # tail_transform and tail_moment each compute only their own part
+    from levyfluct.model import _tempered_direct, _tempered_series
+
+    s = np.concatenate([np.logspace(-6, np.log10(0.49), 20), np.logspace(0, 3, 20)])
+    for branch in (_tempered_series, _tempered_direct):
+        transform, moment = branch(alpha, s)
+        assert np.array_equal(branch(alpha, s, ("transform",))[0], transform)
+        assert np.array_equal(branch(alpha, s, ("moment",))[0], moment)

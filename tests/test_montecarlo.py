@@ -226,3 +226,25 @@ def test_zscores_unbiased_over_seeds():
         est = estimate_upcross_laplace(m, cfg, 1.0, 2.0)
         zs.append((est.mean - est.analytic_target) / est.stderr)
     assert abs(float(np.mean(zs))) <= 1.0
+
+
+def test_grid_mean_table_is_one_array_call():
+    # the allowance table evaluates its 256 points in one call and matches
+    # the point-by-point table it replaced
+    from levyfluct import fluctuation, make_engine
+    from levyfluct.montecarlo import _grid_mean
+
+    engine = make_engine(bm(1.0))
+    values = np.random.default_rng(5).uniform(0.2, 6.0, 1000)
+    calls = []
+
+    def fn(v):
+        calls.append(np.size(v))
+        return np.clip(1.0 - fluctuation.survival_probability(engine, v), 0.0, 1.0)
+
+    xs = np.linspace(values.min(), values.max(), 256)
+    table = [min(max(1.0 - fluctuation.survival_probability(engine, float(x)), 0.0), 1.0)
+             for x in xs]
+    assert _grid_mean(values, fn) == float(np.interp(values, xs, table).mean())
+    assert calls == [256]
+    assert _grid_mean(np.full(3, 2.0), fn) == pytest.approx(math.exp(-2.0 * 2.0), rel=1e-12)

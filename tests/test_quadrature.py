@@ -73,3 +73,38 @@ def test_vectorized_failure_raises_when_limit_exhausted():
     with pytest.raises(QuadratureFailure, match="error estimate"):
         integrate_semiinfinite(lambda y: np.sin(y) / y**2, a=1.0, decay=0.0,
                                vectorized=True)
+
+
+def test_vectorized_finite_with_break_point():
+    # a kink at the break point costs no bisection toward it
+    sizes = []
+    val = integrate_finite(_batched(lambda x: np.abs(x - 0.3), sizes), 0.0, 1.0,
+                           points=(0.3,), vectorized=True)
+    assert val == pytest.approx(0.5 * (0.3**2 + 0.7**2), rel=1e-12)
+    assert sizes == [42]
+
+
+def test_graded_bounds_power_endpoint_and_power_tail():
+    from scipy import special
+
+    from levyfluct._quadrature import integrate_graded
+
+    # integral of u**(a-1) (1+u)**(-a-b) over (0, inf) is B(a, b): an
+    # endpoint u**(-1/2) (grade 2) and a tail u**(-1.55) (tail grade 1/0.55)
+    sizes = []
+    f = _batched(lambda u: u**-0.5 * (1.0 + u) ** -1.05, sizes)
+    val = integrate_graded(f, 1.0, 2.0, tail_grade=1.0 / 0.55, rtol=1e-12)
+    assert val == pytest.approx(special.beta(0.5, 0.55), rel=1e-11)
+    assert sizes and all(n <= 42 * 200 for n in sizes)
+
+
+def test_graded_alpha_near_two_endpoint():
+    from scipy import special
+
+    from levyfluct._quadrature import integrate_graded
+
+    # u**(-0.98) exp(-u), the endpoint of u * pitail(u) at alpha = 1.98,
+    # takes grade 50: u = s**50 spans the whole exponent range of doubles
+    f = lambda u: u**-0.98 * np.exp(-u)  # noqa: E731
+    assert integrate_graded(f, 1.0, 50.0, decay=1.0) == pytest.approx(
+        special.gamma(0.02), rel=1e-10)

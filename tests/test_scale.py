@@ -311,3 +311,30 @@ def test_overflowing_closed_form_raises(model):
             fn(2.0, 1000.0)
         with pytest.raises(InversionFailure, match="x=1000.0"):
             fn(2.0, np.array([1.0, 1000.0]))
+
+
+class _CountingEngine:
+    # forwards to an engine and counts the points W is evaluated at
+    def __init__(self, engine):
+        self._engine = engine
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def w(self, q, x):
+        self.points += np.size(x)
+        return self._engine.w(q, x)
+
+
+def test_roundtrip_grades_the_pure_jump_endpoint():
+    # without a Gaussian part W ~ y**(alpha - 1) at 0; the graded head
+    # resolves it in a few rounds (bisection alone took 945 points here)
+    from levyfluct import StableJumps, laplace_roundtrip
+
+    m = LevyModel(gamma=0.5, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=1.0))
+    engine = _CountingEngine(make_engine(m))
+    q = 2.5
+    rt = laplace_roundtrip(engine, q, m.phi(q) + 2.0)
+    assert abs(rt.rel_gap) <= 1e-10
+    assert engine.points <= 300

@@ -65,3 +65,66 @@ def test_single_thread_matches_parallel(monkeypatch):
     serial = run_validation(model_b())
     assert [c.name for c in serial.checks] == [c.name for c in parallel.checks]
     assert [c.measured for c in serial.checks] == [c.measured for c in parallel.checks]
+
+
+# ---------------------------------------------------------------------------
+# ladder reference and the alpha -> 2 envelope
+# ---------------------------------------------------------------------------
+
+from levyfluct import LevyModel, StableJumps, TemperedStableJumps  # noqa: E402
+from levyfluct.validation import _ladder_lk  # noqa: E402
+
+
+def _stable(gamma, sigma2, alpha, scale=1.0):
+    return LevyModel(gamma=gamma, sigma2=sigma2, jumps=StableJumps(alpha=alpha, scale=scale))
+
+
+LADDER_MODELS = [
+    _stable(gamma, sigma2, alpha)
+    for alpha in (1.05, 1.5, 1.95)
+    for gamma, sigma2 in ((0.5, 0.0), (-0.3, 0.5))
+] + [
+    LevyModel(gamma=gamma, sigma2=sigma2,
+              jumps=TemperedStableJumps(alpha=alpha, scale=0.8, tempering=1.5))
+    for alpha in (1.5, 1.95)
+    for gamma, sigma2 in ((0.0, 1.0), (1.0, 0.0))
+]
+
+
+@pytest.mark.parametrize("model", LADDER_MODELS, ids=repr)
+def test_ladder_lk_matches_wiener_hopf_quotient(model):
+    # kappa_hat(lam) = psi(lam)/(lam - phi(0)), here through the jump-tail
+    # quadrature of the ladder Levy-Khintchine form
+    phi0 = float(model.phi(0.0))
+    for lam in (0.25, 1.0, 3.0, 7.0):
+        want = float(model.psi(lam)) / (lam - phi0)
+        assert _ladder_lk(model, lam) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", [
+    # the first raised QuadratureFailure in its jump-tail references; the
+    # second, an earlier failure of the same kind, must keep completing
+    _stable(0.5, 0.5, 1.95),
+    _stable(0.0, 1.59, 1.756, scale=1.124),
+], ids=repr)
+def test_report_completes_near_alpha_two(model):
+    report = run_validation(model)
+    names = {c.name for c in report.checks}
+    assert {"exc.partition", "model.wh_space_factorization"} <= names
+    assert report.ok, [c.name for c in report.failures]
+
+
+def test_suites_run_serially_by_default(monkeypatch):
+    monkeypatch.delenv("LEVY_FLUCT_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("LEVY_FLUCT_THREADS", "0")
+    assert worker_count() == 1
+
+
+def test_thread_pool_matches_serial(monkeypatch):
+    monkeypatch.delenv("LEVY_FLUCT_THREADS", raising=False)
+    serial = run_validation(model_b())
+    monkeypatch.setenv("LEVY_FLUCT_THREADS", "2")
+    pooled = run_validation(model_b())
+    assert [c.name for c in pooled.checks] == [c.name for c in serial.checks]
+    assert [c.measured for c in pooled.checks] == [c.measured for c in serial.checks]
