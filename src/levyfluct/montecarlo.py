@@ -11,6 +11,12 @@ estimators therefore carry no time-discretisation bias; ``dt`` only sets
 the automatic small-jump cutoff of infinite-activity families, and the
 step of ``simulate_path``, which records a whole path on a regular grid.
 
+Survival and creeping run every path to the horizon.  The Laplace
+estimators stop at min(horizon, 40/rate): a later crossing would add
+less than exp(-40) = 4.2e-18 to its path's discounted value, which is
+below the float resolution of the estimate, and the reported
+truncation_allowance still bounds that mass.
+
 Randomness is counter-based (Philox).  ``simulate_path`` keys a stream
 by (seed, streamIndex); the sweeps key one stream per block of paths
 and fold block statistics in index order, so estimates are pure
@@ -31,7 +37,7 @@ from .errors import (
     InsufficientCrossings,
     WrongRegimeError,
 )
-from .model import LevyModel, NoJumps, Regime
+from .model import LevyModel, NoJumps, Regime, StableJumps
 from .scale import make_engine
 from . import fluctuation
 
@@ -53,6 +59,16 @@ _U64 = (1 << 64) - 1
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
 _ROUND_EVENTS = 1 << 16
 _MIN_CROSSINGS = 10
+# the Laplace estimators simulate to at most this many units of 1/rate:
+# a crossing after t = 40/rate adds exp(-rate t) < exp(-40) = 4.2e-18 to
+# its path's value, below the rounding of the fold's block sums (4000
+# values near 0.1 sum to about 400, whose ulp is 5.7e-14), and the
+# truncation_allowance still carries that mass
+_DISCOUNT_HORIZON = 40.0
+# np.exp underflows to 0 below ln(2**-1075) = -745.13 and takes a slow
+# path on the way; the bridge exponents below this floor skip it, which
+# leaves the set of nonzero crossing probabilities unchanged
+_EXP_FLOOR = -746.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +82,14 @@ class MCConfig:
 
     horizon None means "pick a default": 50/|psi'(0+)| for drifting
     models; oscillating models have no natural time scale and must be
-    given one explicitly.  dt is the step of ``simulate_path``; the
-    estimators are exact in time and use dt only through the automatic
-    small-jump cutoff.  small_jump_cutoff None triggers that rule:
-    normal-approximation skewness below 1e-2 where the Gaussian part
-    allows it, and a tail rate of jumps above the cutoff at most 0.1/dt.
+    given one explicitly.  The Laplace estimators stop earlier, at
+    min(horizon, 40/rate), where the discount is below float resolution;
+    survival and creeping run to the horizon.  dt is the step of
+    ``simulate_path``; the estimators are exact in time and use dt only
+    through the automatic small-jump cutoff.  small_jump_cutoff None
+    triggers that rule: normal-approximation skewness below 1e-2 where
+    the Gaussian part allows it, and a tail rate of jumps above the
+    cutoff at most 0.1/dt.
     block_paths is the number of paths sharing one random stream.
     """
 
@@ -140,7 +159,9 @@ class Estimate:
     truncation_allowance bounds the mass the finite horizon may have cut
     off (exact tower-property mass where a closed form exists, an upper
     bound otherwise); comparisons against the target should allow
-    3*stderr + truncation_allowance.
+    3*stderr + truncation_allowance.  For the Laplace estimators it is
+    (alive/n)*exp(-rate*T) at their horizon T = min(horizon, 40/rate),
+    so at most exp(-40) = 4.2e-18.
     """
 
     mean: float
@@ -168,27 +189,35 @@ class _Plan:
     alpha: float
     tempering: float
     jump_sign: float = -1.0  # +1.0 in the mirrored (gap) process
+    acceptance: float = 1.0  # of the tempered rejection sampler
 
     def sample_jumps(self, rng, k):
         # magnitudes of the (negative) jumps, all >= cutoff except the
         # finite-activity family which has no cutoff at all
+        if k == 0:
+            return np.empty(0)
         if self.kind == "exp":
             return rng.exponential(1.0 / self.jump_rate, size=k)
         if self.kind == "power":
             u = 1.0 - rng.random(k)
             return self.cutoff * u ** (-1.0 / self.alpha)
-        # tempered power tail by rejection against the bare power tail
-        out = np.empty(k)
-        todo = np.arange(k)
-        while todo.size:
-            u = 1.0 - rng.random(todo.size)
+        # tempered power tail by rejection against the bare power tail.
+        # one pass draws enough candidates for all k except at most about
+        # once in a thousand calls; keeping the first accepted ones in
+        # draw order is still exact, because which are kept depends only
+        # on their count
+        out = []
+        need = k
+        while need:
+            m = int((need + 3.0 * math.sqrt(need) + 8.0) / self.acceptance)
+            u = 1.0 - rng.random(m)
             cand = self.cutoff * u ** (-1.0 / self.alpha)
-            keep = rng.random(todo.size) < np.exp(
-                -self.tempering * (cand - self.cutoff)
-            )
-            out[todo[keep]] = cand[keep]
-            todo = todo[~keep]
-        return out
+            # accept with probability exp(-tempering*(cand - cutoff)),
+            # as a standard exponential above the exponent
+            keep = rng.standard_exponential(m) > self.tempering * (cand - self.cutoff)
+            out.append(cand[keep][:need])
+            need -= out[-1].size
+        return np.concatenate(out)
 
 
 def _auto_cutoff(jumps, sigma2, dt):
@@ -197,20 +226,29 @@ def _auto_cutoff(jumps, sigma2, dt):
     # clock must not fire much more than 0.1 times per step (cutoff
     # large enough).  when they conflict, simulability wins.
     lo, hi = 1e-12, 1e3
+    rate_lo, rate_hi = float(jumps.tail(lo)), float(jumps.tail(hi))
+    if (rate_lo * dt - 0.1) * (rate_hi * dt - 0.1) > 0.0:
+        raise BadConfigError(
+            f"no automatic small-jump cutoff in [{lo:g}, {hi:g}] gives a jump "
+            f"rate of 0.1/dt = {0.1 / dt:g}: the tail rate is {rate_lo:.3g} "
+            f"at {lo:g} and {rate_hi:.3g} at {hi:g}; set small_jump_cutoff"
+        )
     eps_rate = optimize.brentq(
         lambda e: float(jumps.tail(e)) * dt - 0.1, lo, hi, xtol=1e-14
     )
     if sigma2 > 0.0:
         budget = 0.0464 / (1.0 - 0.0464) * sigma2
-        if float(jumps.truncated_variance(hi)) > budget:
+        if float(jumps.truncated_variance(hi)) <= budget:
+            eps_skew = hi
+        elif float(jumps.truncated_variance(lo)) >= budget:
+            eps_skew = lo
+        else:
             eps_skew = optimize.brentq(
                 lambda e: float(jumps.truncated_variance(e)) - budget,
                 lo,
                 hi,
                 xtol=1e-14,
             )
-        else:
-            eps_skew = hi
         return max(eps_rate, min(eps_skew, 1.0))
     return eps_rate
 
@@ -235,10 +273,17 @@ def _plan(model, config):
     var = model.sigma2
     if config.small_jump_mode == "gaussian-compensation":
         var = var + float(jumps.truncated_variance(eps))
-    kind = "tempered" if jumps.family == "tempered_stable" else "power"
-    tempering = getattr(jumps, "tempering", 0.0)
-    return _Plan(math.sqrt(var), drift, rate, kind,
-                 eps, 0.0, jumps.alpha, tempering)
+    if jumps.family != "tempered_stable":
+        return _Plan(math.sqrt(var), drift, rate, "power",
+                     eps, 0.0, jumps.alpha, 0.0)
+    # acceptance of the rejection sampler: the mean of
+    # exp(-theta*(Y - eps)) under the bare power tail, i.e. the tempered
+    # tail over the bare one at eps, times exp(theta*eps)
+    theta = jumps.tempering
+    bare = float(StableJumps(jumps.alpha, jumps.scale).tail(eps))
+    acceptance = math.exp(theta * eps + math.log(rate / bare)) if rate > 0.0 else 1.0
+    return _Plan(math.sqrt(var), drift, rate, "tempered",
+                 eps, 0.0, jumps.alpha, theta, acceptance=acceptance)
 
 
 def _resolve_horizon(model, config):
@@ -250,6 +295,11 @@ def _resolve_horizon(model, config):
             "oscillating models have no default horizon; set one explicitly"
         )
     return 50.0 / abs(mean)
+
+
+def _discount_horizon(model, config, rate):
+    # the Laplace estimators' horizon; see _DISCOUNT_HORIZON
+    return min(_resolve_horizon(model, config), _DISCOUNT_HORIZON / rate)
 
 
 def _philox(seed, stream):
@@ -357,11 +407,14 @@ def simulate_path(model, config, stream_index, level=None):
 # ---------------------------------------------------------------------------
 
 
-def _running_sum(a):
-    # cumulative sum down axis 0, in place: one vector add per row is
-    # several times faster than np.cumsum's strided loop on (k, r) arrays
+def _running_sum(a, first, out):
+    # out[i] = first + a[0] + ... + a[i] down axis 0 (out may be a): one
+    # vector add per row is several times faster than np.cumsum's strided
+    # loop on (k, r) arrays
+    np.add(a[0], first, out=out[0])
     for i in range(1, a.shape[0]):
-        a[i] += a[i - 1]
+        np.add(out[i - 1], a[i], out=out[i])
+    return out
 
 
 def _sweep_block(plan, rng, m, start, horizon):
@@ -402,33 +455,61 @@ def _sweep_block(plan, rng, m, start, horizon):
             # enough epochs to take most paths to the horizon, within budget
             lam = plan.rate * (horizon - float(t0.min()))
             k = max(1, min(_ROUND_EVENTS // r, int(lam + 3.0 * math.sqrt(lam)) + 1))
-            epochs = rng.exponential(1.0 / plan.rate, size=(k, r))
-            epochs[0] += t0
-            _running_sum(epochs)
+            span = rng.exponential(1.0 / plan.rate, size=(k, r))
+            epochs = _running_sum(span, t0, np.empty((k, r)))
+            # the first epoch past the horizon becomes the horizon itself
+            # and later rows are zero-length padding, which cannot cross;
+            # only those rows' spans differ from the gaps.  epochs grow
+            # down axis 0, so no path reached the horizon when the last
+            # row is all jumps
+            is_jump = epochs < horizon
+            clipped = not is_jump[-1].all()
+            if clipped:
+                np.minimum(epochs, horizon, out=epochs)
+                # flat indices: a 2-D np.nonzero is several times slower
+                flat = np.flatnonzero(~is_jump)
+                up = flat - r
+                flat_epochs = epochs.ravel()
+                before = np.where(up >= 0, flat_epochs[up], t0[flat % r])
+                span.ravel()[flat] = flat_epochs[flat] - before
         else:
             k = 1
             epochs = np.full((1, r), horizon)
-        # the first epoch past the horizon becomes the horizon itself and
-        # later rows are zero-length padding, which cannot cross
-        is_jump = epochs < horizon
-        np.minimum(epochs, horizon, out=epochs)
-        starts = np.concatenate([t0[None, :], epochs[:-1]])
-        span = epochs - starts
-        moves = plan.drift * span
+            is_jump = np.zeros((1, r), dtype=bool)
+            span = (horizon - t0)[None, :]
+        post = plan.drift * span
         if sig2 > 0.0:
-            moves += plan.sigma * np.sqrt(span) * rng.standard_normal((k, r))
-        jumps = np.zeros((k, r))
-        jumps[is_jump] = plan.jump_sign * plan.sample_jumps(rng, int(is_jump.sum()))
-        post = moves + jumps
-        post[0] += x0
-        _running_sum(post)
-        pre = post - jumps
+            noise = np.sqrt(span)
+            noise *= plan.sigma
+            noise *= rng.standard_normal((k, r))
+            post += noise
+        if plan.rate > 0.0:
+            if clipped:
+                jumps = np.zeros((k, r))
+                jumps[is_jump] = plan.sample_jumps(rng, int(is_jump.sum()))
+            else:
+                jumps = plan.sample_jumps(rng, k * r).reshape(k, r)
+            jumps *= plan.jump_sign
+            post += jumps
+            _running_sum(post, x0, post)
+            pre = np.subtract(post, jumps, out=jumps)
+        else:
+            post += x0
+            pre = post
         cont = pre <= 0.0
         if sig2 > 0.0:
-            prev = np.concatenate([x0[None, :], post[:-1]])
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                p = np.exp(-2.0 * prev * pre / (sig2 * span))
-            # where p underflowed to 0 no uniform can fall below it
+            # bridge exponent -2 a b / (sigma^2 d), built in one buffer
+            expo = np.empty((k, r))
+            expo[0] = x0
+            expo[1:] = post[:-1]
+            expo *= pre
+            expo *= -2.0 / sig2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expo /= span
+            p = np.zeros((k, r))
+            with np.errstate(over="ignore"):
+                np.exp(expo, out=p, where=expo > _EXP_FLOOR)
+            # where p is 0 no uniform can fall below it
             live = p > 0.0
             cont[live] |= rng.random(int(live.sum())) < p[live]
         jump = is_jump & (post < 0.0) & ~cont
@@ -454,7 +535,7 @@ def _sweep_block(plan, rng, m, start, horizon):
                     frac = y / (1.0 + y)
                 else:
                     frac = a / (a - b)
-                tau[ids[~by]] = starts[c_row, c_col] + d * frac
+                tau[ids[~by]] = epochs[c_row, c_col] - d + d * frac
 
         rest = np.nonzero(~hit)[0]
         x[alive[rest]] = post[-1, rest]
@@ -533,12 +614,12 @@ def estimate_upcross_laplace(model, config, a, q):
 
     Upward crossings are continuous (no positive jumps), so the sweep
     runs on the reflected gap a - X, whose jumps point away from the
-    barrier.
+    barrier.  Paths run to min(horizon, 40/q).
     """
 
     a = _check_positive("a", a)
     q = _check_positive("q", q)
-    horizon = _resolve_horizon(model, config)
+    horizon = _discount_horizon(model, config, q)
     plan = _plan(model, config)
     # gap process a - X: drift flips and the (negative) jumps point up,
     # away from the barrier, so crossing by a jump cannot happen
@@ -569,11 +650,14 @@ def estimate_upcross_laplace(model, config, a, q):
 
 
 def estimate_passage_below_laplace(model, config, x, beta):
-    """Mean of exp(-beta * first passage time below 0) started from x."""
+    """Mean of exp(-beta * first passage time below 0) started from x.
+
+    Paths run to min(horizon, 40/beta).
+    """
 
     x = _check_positive("x", x)
     beta = _check_positive("beta", beta)
-    horizon = _resolve_horizon(model, config)
+    horizon = _discount_horizon(model, config, beta)
     plan = _plan(model, config)
     crossings = 0
     alive = 0

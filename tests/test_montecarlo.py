@@ -248,3 +248,158 @@ def test_grid_mean_table_is_one_array_call():
     assert _grid_mean(values, fn) == float(np.interp(values, xs, table).mean())
     assert calls == [256]
     assert _grid_mean(np.full(3, 2.0), fn) == pytest.approx(math.exp(-2.0 * 2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# automatic small-jump cutoff
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e8])
+def test_auto_cutoff_outside_bracket_is_typed(scale):
+    # at dt = 1e-2 the target rate 0.1/dt = 10 lies outside the tail rates
+    # at both ends of [1e-12, 1e3]: above them for the tiny scale, below
+    # them for the huge one
+    from levyfluct import LevyModel, StableJumps
+
+    m = LevyModel(gamma=1.0, sigma2=0.5, jumps=StableJumps(alpha=1.5, scale=scale))
+    cfg = MCConfig(dt=1e-2, paths=10, horizon=1.0, seed=0)
+    with pytest.raises(BadConfigError, match="small_jump_cutoff") as info:
+        sample_terminal(m, cfg)
+    assert "tail rate" in str(info.value)
+    assert "1e-12" in str(info.value) and "1000" in str(info.value)
+
+
+def test_auto_cutoff_unreachable_skewness_keeps_rate_rule():
+    # at scale 1e8 even a cutoff of 1e-12 leaves more truncated variance
+    # than the skewness budget allows; simulability wins, as it does when
+    # the two rules conflict inside the bracket
+    from levyfluct import LevyModel, StableJumps
+    from levyfluct.montecarlo import _plan
+
+    m = LevyModel(gamma=1.0, sigma2=0.5, jumps=StableJumps(alpha=1.5, scale=1e8))
+    plan = _plan(m, MCConfig(dt=1e-5, paths=10))
+    assert plan.rate == pytest.approx(0.1 / 1e-5, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# jump sampler against the exact law of the jumps above the cutoff
+# ---------------------------------------------------------------------------
+
+
+def _mc_tempered():
+    from levyfluct import LevyModel, TemperedStableJumps
+
+    return LevyModel(gamma=1.0, sigma2=0.5,
+                     jumps=TemperedStableJumps(alpha=1.5, scale=1.0, tempering=1.0))
+
+
+class _CountingRng:
+    # counts the uniform batches a sampler asks for
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def random(self, size):
+        self.batches += 1
+        return self.rng.random(size)
+
+    def standard_exponential(self, size):
+        return self.rng.standard_exponential(size)
+
+
+def _jump_plan(case):
+    from levyfluct.montecarlo import _plan
+
+    if case == "power":
+        return stable_sn().jumps, _plan(stable_sn(), MCConfig(dt=1e-2, paths=1))
+    cutoff = None if case == "tempered" else 13.0
+    m = _mc_tempered()
+    return m.jumps, _plan(m, MCConfig(dt=1e-2, paths=1, small_jump_cutoff=cutoff))
+
+
+@pytest.mark.parametrize("case", ["power", "tempered", "tempered-rare"])
+def test_sampler_matches_exact_jump_law(case):
+    # P(Y > y) = tail(y)/tail(cutoff) for the jumps the sweep simulates
+    jumps, plan = _jump_plan(case)
+    eps = plan.cutoff
+    if case == "tempered":
+        assert 0.85 < plan.acceptance < 0.95
+    if case == "tempered-rare":
+        assert 0.05 < plan.acceptance < 0.15
+    rng = _CountingRng(101)
+    y = plan.sample_jumps(rng, 20000)
+    assert y.shape == (20000,) and y.min() >= eps
+    tail_eps = float(jumps.tail(eps))
+    _, p = stats.kstest(y, lambda v: 1.0 - jumps.tail(np.maximum(v, eps)) / tail_eps)
+    assert p > 1e-3
+    if plan.kind == "tempered":
+        assert rng.batches == 1  # one oversampled pass
+
+
+def test_tempered_acceptance_is_the_mean_acceptance_probability():
+    # E exp(-theta (Y - eps)) for Y with the bare power tail above eps
+    from scipy import integrate
+
+    _, plan = _jump_plan("tempered-rare")
+    a, th, eps = plan.alpha, plan.tempering, plan.cutoff
+    val, _ = integrate.quad(
+        lambda y: a * eps**a * y ** (-1.0 - a) * math.exp(-th * (y - eps)), eps, math.inf)
+    assert plan.acceptance == pytest.approx(val, rel=1e-9)
+
+
+def test_sampler_top_up_keeps_the_law():
+    # an overstated acceptance makes the first pass fall short, so the
+    # top-up passes run; the law of the kept jumps does not change
+    from dataclasses import replace
+
+    jumps, plan = _jump_plan("tempered-rare")
+    rng = _CountingRng(7)
+    y = replace(plan, acceptance=1.0).sample_jumps(rng, 20000)
+    assert rng.batches > 1
+    assert y.shape == (20000,)
+    tail_eps = float(jumps.tail(plan.cutoff))
+    _, p = stats.kstest(
+        y, lambda v: 1.0 - jumps.tail(np.maximum(v, plan.cutoff)) / tail_eps)
+    assert p > 1e-3
+
+
+@pytest.mark.parametrize("case", ["power", "tempered", "tempered-rare"])
+def test_sampler_zero_jumps_is_empty(case):
+    _, plan = _jump_plan(case)
+    out = plan.sample_jumps(np.random.default_rng(0), 0)
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# discount horizon of the Laplace estimators
+# ---------------------------------------------------------------------------
+
+
+def test_laplace_estimators_stop_at_discount_horizon():
+    # 40/q = 16 lies below both horizons, so both runs simulate to t = 16
+    m, rate = model_b(), 2.5
+    for estimator in (estimate_passage_below_laplace, estimate_upcross_laplace):
+        a = estimator(m, MCConfig(dt=1e-3, paths=4000, horizon=100.0, seed=3), 1.0, rate)
+        b = estimator(m, MCConfig(dt=1e-3, paths=4000, horizon=200.0, seed=3), 1.0, rate)
+        assert a == b
+        assert a.truncation_allowance <= math.exp(-40.0)
+        assert within_target(a)
+
+
+def test_short_user_horizon_is_honoured():
+    # below 40/beta = 20 the user's horizon is the horizon
+    cfg = MCConfig(dt=1e-3, paths=4000, horizon=0.5, seed=2)
+    est = estimate_passage_below_laplace(bm(1.0), cfg, 1.0, 2.0)
+    alive = est.n - est.crossings
+    assert est.truncation_allowance == (alive / est.n) * math.exp(-2.0 * 0.5)
+    cfg = MCConfig(dt=1e-3, paths=50, horizon=0.01, seed=2)
+    with pytest.raises(InsufficientCrossings, match=r"before t=0\.01$"):
+        estimate_upcross_laplace(bm(1.0), cfg, 30.0, 1.0)
+
+
+def test_insufficient_crossings_names_discount_horizon():
+    # default horizon 50, discount horizon 40/2.5 = 16
+    cfg = MCConfig(dt=1e-3, paths=50, seed=2)
+    with pytest.raises(InsufficientCrossings, match=r"before t=16\.0$"):
+        estimate_upcross_laplace(bm(1.0), cfg, 30.0, 2.5)
