@@ -80,10 +80,6 @@ from .scale import (
     mittag_leffler,
     w_series_check,
 )
-from .validation import (
-    TOLERANCES,
-    run_validation,
-    worker_count,
-)
+from .validation import TOLERANCES, run_validation
 
 __version__ = "0.1.0"

@@ -67,7 +67,7 @@ def _quiet_quad(*args, **kwargs):
     # the error-estimate checks below already turn unreliable results into
     # exceptions; full_output makes scipy return its message instead of
     # warning, without touching the process-wide warning filters that
-    # concurrent validation threads share
+    # concurrent callers share
     return integrate.quad(*args, full_output=1, **kwargs)[:2]
 
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .model import parse_model
 from .scale import make_engine
-from .validation import TOLERANCES, run_validation, worker_count
+from .validation import TOLERANCES, run_validation
 
 _SCHEMA = "levy-fluct/1"
 
@@ -285,8 +285,6 @@ def _build_parser():
         description="Scale functions, fluctuation identities, excursion "
                     "intensities, and Monte Carlo cross-checks for "
                     "spectrally negative Levy processes.",
-        epilog="LEVY_FLUCT_THREADS runs the validation suites on that many "
-               f"threads (currently {worker_count()}; default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -40,6 +40,7 @@ from .errors import (
 from .model import LevyModel, NoJumps, Regime, StableJumps
 from .scale import make_engine
 from . import fluctuation
+from .fluctuation import _check_positive
 
 __all__ = [
     "MCConfig",
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 _U64 = (1 << 64) - 1
+# paths sharing one random stream
+_BLOCK_PATHS = 16384
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
 _ROUND_EVENTS = 1 << 16
 _MIN_CROSSINGS = 10
@@ -90,7 +93,6 @@ class MCConfig:
     triggers that rule: normal-approximation skewness below 1e-2 where
     the Gaussian part allows it, and a tail rate of jumps above the
     cutoff at most 0.1/dt.
-    block_paths is the number of paths sharing one random stream.
     """
 
     dt: float
@@ -99,7 +101,6 @@ class MCConfig:
     seed: int = 0
     small_jump_cutoff: float | None = None
     small_jump_mode: str = "gaussian-compensation"
-    block_paths: int = 16384
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -122,8 +123,6 @@ class MCConfig:
                 "small_jump_mode must be 'gaussian-compensation' or "
                 f"'drift-only', got {self.small_jump_mode!r}"
             )
-        if self.block_paths < 1:
-            raise BadConfigError("block_paths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ class Estimate:
     bound otherwise); comparisons against the target should allow
     3*stderr + truncation_allowance.  For the Laplace estimators it is
     (alive/n)*exp(-rate*T) at their horizon T = min(horizon, 40/rate),
-    so at most exp(-40) = 4.2e-18.
+    so at most exp(-40) = 4.2e-18.  z_score is None when stderr is 0.
     """
 
     mean: float
@@ -308,13 +307,9 @@ def _philox(seed, stream):
 
 
 def _blocks(config):
-    left = config.paths
-    index = 0
-    while left > 0:
-        size = min(config.block_paths, left)
-        yield index, size
-        left -= size
-        index += 1
+    # (stream index, size) of each block of paths
+    for index, first in enumerate(range(0, config.paths, _BLOCK_PATHS)):
+        yield index, min(_BLOCK_PATHS, config.paths - first)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +540,13 @@ def _sweep_block(plan, rng, m, start, horizon):
     return crossed, tau, over, byjump, x
 
 
+def _sweeps(plan, config, start, horizon):
+    # _sweep_block on each block of paths, each on its own stream, in
+    # block order
+    for index, size in _blocks(config):
+        yield _sweep_block(plan, _philox(config.seed, index), size, start, horizon)
+
+
 def _fold(values_iter):
     # streaming (n, mean, M2) in fixed block order
     n, mean, m2 = 0, 0.0, 0.0
@@ -566,13 +568,9 @@ def _fold(values_iter):
 
 
 def _finish(n, mean, m2, target, crossings=None, allowance=None):
-    if n > 1:
-        stderr = math.sqrt(m2 / (n - 1) / n)
-    else:
-        stderr = 0.0
-    z = None
-    if target is not None:
-        z = (mean - target) / stderr if stderr > 0.0 else 0.0
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    # a zero spread leaves z undefined, whether or not the mean hits
+    z = (mean - target) / stderr if target is not None and stderr > 0.0 else None
     return Estimate(
         mean=float(mean),
         stderr=float(stderr),
@@ -602,11 +600,48 @@ def _grid_mean(values, fn):
 # ---------------------------------------------------------------------------
 
 
-def _check_positive(name, value):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise BadParameterError(f"{name} must be finite and > 0, got {value}")
-    return value
+def _laplace(model, config, plan, start, rate, target, what):
+    # mean of exp(-rate * first passage below 0) from start, over paths
+    # run to min(horizon, 40/rate); target() gives the analytic value and
+    # ``what`` completes the InsufficientCrossings message
+    horizon = _discount_horizon(model, config, rate)
+    crossings = 0
+
+    def values():
+        nonlocal crossings
+        for crossed, tau, _, _, _ in _sweeps(plan, config, start, horizon):
+            crossings += int(crossed.sum())
+            yield np.where(crossed, np.exp(-rate * tau), 0.0)
+
+    n, mean, m2 = _fold(values())
+    if crossings < _MIN_CROSSINGS:
+        raise InsufficientCrossings(
+            f"only {crossings} of {n} paths {what} before t={horizon}"
+        )
+    allowance = ((n - crossings) / n) * math.exp(-rate * horizon)
+    return _finish(n, mean, m2, target(), crossings, allowance)
+
+
+def _to_horizon(model, config, plan, x, score, residual):
+    # paths from x run to the horizon; score(crossed, byjump) gives each
+    # path's value and the allowance is the survivors' share times the
+    # mean of residual over their final positions.  returns
+    # (n, mean, m2, crossings, allowance)
+    horizon = _resolve_horizon(model, config)
+    crossings = 0
+    finals = []
+
+    def values():
+        nonlocal crossings
+        for crossed, _, _, byjump, xf in _sweeps(plan, config, x, horizon):
+            crossings += int(crossed.sum())
+            finals.append(xf[~crossed])
+            yield score(crossed, byjump)
+
+    n, mean, m2 = _fold(values())
+    survivors = np.concatenate(finals)
+    allowance = (survivors.size / n) * _grid_mean(survivors, residual)
+    return n, mean, m2, crossings, float(allowance)
 
 
 def estimate_upcross_laplace(model, config, a, q):
@@ -619,34 +654,13 @@ def estimate_upcross_laplace(model, config, a, q):
 
     a = _check_positive("a", a)
     q = _check_positive("q", q)
-    horizon = _discount_horizon(model, config, q)
     plan = _plan(model, config)
     # gap process a - X: drift flips and the (negative) jumps point up,
-    # away from the barrier, so crossing by a jump cannot happen
+    # away from the barrier, so crossing by a jump cannot happen; the
+    # gap's crossing of 0 is the upcross of a
     mirror = replace(plan, drift=-plan.drift, jump_sign=1.0)
-
-    crossings = 0
-    alive = 0
-
-    def blocks():
-        nonlocal crossings, alive
-        for index, size in _blocks(config):
-            rng = _philox(config.seed, index)
-            crossed, tau, _, _, _ = _sweep_block(mirror, rng, size, a, horizon)
-            # mirrored sweep: jump_sign = +1 flips the jumps positive in
-            # the gap process; crossing of 0 by the gap is the upcross of a
-            crossings += int(crossed.sum())
-            alive += int(size - crossed.sum())
-            yield np.where(crossed, np.exp(-q * tau), 0.0)
-
-    n, mean, m2 = _fold(blocks())
-    if crossings < _MIN_CROSSINGS:
-        raise InsufficientCrossings(
-            f"only {crossings} of {n} paths reached {a} before t={horizon}"
-        )
-    target = math.exp(-a * model.phi(q))
-    allowance = (alive / n) * math.exp(-q * horizon)
-    return _finish(n, mean, m2, target, crossings, allowance)
+    return _laplace(model, config, mirror, a, q,
+                    lambda: math.exp(-a * model.phi(q)), f"reached {a}")
 
 
 def estimate_passage_below_laplace(model, config, x, beta):
@@ -657,29 +671,12 @@ def estimate_passage_below_laplace(model, config, x, beta):
 
     x = _check_positive("x", x)
     beta = _check_positive("beta", beta)
-    horizon = _discount_horizon(model, config, beta)
     plan = _plan(model, config)
-    crossings = 0
-    alive = 0
-
-    def blocks():
-        nonlocal crossings, alive
-        for index, size in _blocks(config):
-            rng = _philox(config.seed, index)
-            crossed, tau, _, _, _ = _sweep_block(plan, rng, size, x, horizon)
-            crossings += int(crossed.sum())
-            alive += int(size - crossed.sum())
-            yield np.where(crossed, np.exp(-beta * tau), 0.0)
-
-    n, mean, m2 = _fold(blocks())
-    if crossings < _MIN_CROSSINGS:
-        raise InsufficientCrossings(
-            f"only {crossings} of {n} paths crossed 0 before t={horizon}"
-        )
-    engine = make_engine(model)
-    target = fluctuation.passage_below_laplace(engine, beta, x)
-    allowance = (alive / n) * math.exp(-beta * horizon)
-    return _finish(n, mean, m2, target, crossings, allowance)
+    return _laplace(
+        model, config, plan, x, beta,
+        lambda: fluctuation.passage_below_laplace(make_engine(model), beta, x),
+        "crossed 0",
+    )
 
 
 def estimate_creeping(model, config, x):
@@ -692,30 +689,15 @@ def estimate_creeping(model, config, x):
     """
 
     x = _check_positive("x", x)
-    horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
-    crossings = 0
-    finals = []
-
-    def blocks():
-        nonlocal crossings
-        for index, size in _blocks(config):
-            rng = _philox(config.seed, index)
-            crossed, _, _, byjump, xf = _sweep_block(plan, rng, size, x, horizon)
-            crossings += int(crossed.sum())
-            finals.append(xf[~crossed])
-            creep = crossed & ~byjump & (plan.sigma > 0.0)
-            yield creep.astype(float)
-
-    n, mean, m2 = _fold(blocks())
     engine = make_engine(model)
-    target = fluctuation.creeping_probability(engine, x)
-    survivors = np.concatenate(finals) if finals else np.empty(0)
-    allowance = (survivors.size / n) * _grid_mean(
-        survivors,
+    n, mean, m2, crossings, allowance = _to_horizon(
+        model, config, plan, x,
+        lambda crossed, byjump: (crossed & ~byjump & (plan.sigma > 0.0)).astype(float),
         lambda v: fluctuation.creeping_probability(engine, np.maximum(v, 1e-12)),
     )
-    return _finish(n, mean, m2, target, crossings, float(allowance))
+    target = fluctuation.creeping_probability(engine, x)
+    return _finish(n, mean, m2, target, crossings, allowance)
 
 
 def estimate_survival(model, config, x):
@@ -726,28 +708,17 @@ def estimate_survival(model, config, x):
         raise WrongRegimeError(
             "survival is degenerate unless the process drifts to +infinity"
         )
-    horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
-    finals = []
-
-    def blocks():
-        for index, size in _blocks(config):
-            rng = _philox(config.seed, index)
-            crossed, _, _, _, xf = _sweep_block(plan, rng, size, x, horizon)
-            finals.append(xf[~crossed])
-            yield (~crossed).astype(float)
-
-    n, mean, m2 = _fold(blocks())
     engine = make_engine(model)
-    target = fluctuation.survival_probability(engine, x)
-    survivors = np.concatenate(finals) if finals else np.empty(0)
-    allowance = (survivors.size / n) * _grid_mean(
-        survivors,
+    n, mean, m2, _, allowance = _to_horizon(
+        model, config, plan, x,
+        lambda crossed, byjump: (~crossed).astype(float),
         lambda v: np.clip(
             1.0 - fluctuation.survival_probability(engine, np.maximum(v, 1e-12)), 0.0, 1.0
         ),
     )
-    return _finish(n, mean, m2, target, None, float(allowance))
+    target = fluctuation.survival_probability(engine, x)
+    return _finish(n, mean, m2, target, None, allowance)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ Tolerances live in one table so the CLI can override them uniformly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,28 +459,27 @@ def _mc_checks(model, tol, paths, dt, seed):
     cfg = montecarlo.MCConfig(dt=dt, paths=paths, horizon=1.0, seed=seed)
     for lam in (0.5, 1.0):
         est = montecarlo.martingale_check(model, cfg, lam)
-        out.append(_check("mc.martingale", abs(est.z_score),
+        z = abs(est.mean - 1.0) / max(est.stderr, 1e-300)
+        out.append(_check("mc.martingale", z,
                           f"|z| of exp(lam X_t - psi(lam) t) at lam = {lam}", tol))
 
     cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed, **explicit)
-    est = montecarlo.estimate_upcross_laplace(model, cfg, 1.0, 2.5)
-    slack = (est.truncation_allowance or 0.0) + 2.5 * dt
-    z = max(0.0, abs(est.mean - est.analytic_target) - slack) / max(est.stderr, 1e-300)
-    out.append(_check("mc.estimator", z,
-                      "upcross Laplace at a = 1, q = 2.5 vs exp(-a phi(q))", tol))
-
-    est = montecarlo.estimate_passage_below_laplace(model, cfg, 1.0, 2.5)
-    slack = (est.truncation_allowance or 0.0) + 2.5 * dt
-    z = max(0.0, abs(est.mean - est.analytic_target) - slack) / max(est.stderr, 1e-300)
-    out.append(_check("mc.estimator", z,
-                      "passage-below Laplace at x = 1, beta = 2.5", tol))
-
+    # (estimator, arguments, slack beyond the truncation allowance, context);
+    # built per call, so a wrapper patched onto montecarlo is the one called
+    runs = [
+        (montecarlo.estimate_upcross_laplace, (1.0, 2.5), 2.5 * dt,
+         "upcross Laplace at a = 1, q = 2.5 vs exp(-a phi(q))"),
+        (montecarlo.estimate_passage_below_laplace, (1.0, 2.5), 2.5 * dt,
+         "passage-below Laplace at x = 1, beta = 2.5"),
+    ]
     if model.drift_regime().kind is Regime.TO_PLUS_INFINITY:
-        est = montecarlo.estimate_survival(model, cfg, 1.0)
-        slack = est.truncation_allowance or 0.0
+        runs.append((montecarlo.estimate_survival, (1.0,), 0.0,
+                     "survival probability at x = 1"))
+    for estimator, args, extra, context in runs:
+        est = estimator(model, cfg, *args)
+        slack = (est.truncation_allowance or 0.0) + extra
         z = max(0.0, abs(est.mean - est.analytic_target) - slack) / max(est.stderr, 1e-300)
-        out.append(_check("mc.estimator", z,
-                          "survival probability at x = 1", tol))
+        out.append(_check("mc.estimator", z, context, tol))
     return out
 
 
@@ -491,25 +488,13 @@ def _mc_checks(model, tol, paths, dt, seed):
 # ---------------------------------------------------------------------------
 
 
-def worker_count():
-    # the suites hold the interpreter lock nearly all the time, so a pool
-    # only interleaves them: one thread is the default, and threads are
-    # taken only when LEVY_FLUCT_THREADS asks for them
-    cap = os.environ.get("LEVY_FLUCT_THREADS", "")
-    try:
-        n = int(cap)
-    except ValueError:
-        n = 0
-    return max(n, 1)
-
-
 def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
                    tolerances=None):
     """Run every invariant suite on one model.
 
-    Suites run one after another, or on a pool of LEVY_FLUCT_THREADS
-    threads when that is above 1; the report is assembled in fixed suite
-    order, so the output is deterministic regardless of scheduling.
+    The suites run one after another, in fixed order (model, scale,
+    fluctuation, excursion, then Monte Carlo when with_mc is set), so the
+    report is deterministic.
     """
     tol = dict(TOLERANCES)
     if tolerances:
@@ -519,21 +504,8 @@ def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
         tol.update(tolerances)
     engine = make_engine(model)
 
-    jobs = [
-        lambda: _model_checks(model, tol),
-        lambda: _scale_checks(engine, tol),
-        lambda: _fluct_checks(engine, tol),
-        lambda: _excursion_checks(engine, tol),
-    ]
+    checks = (_model_checks(model, tol) + _scale_checks(engine, tol)
+              + _fluct_checks(engine, tol) + _excursion_checks(engine, tol))
     if with_mc:
-        jobs.append(lambda: _mc_checks(model, tol, paths, dt, seed))
-
-    workers = worker_count()
-    if workers == 1:
-        checks = [c for job in jobs for c in job()]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            checks = [c for f in futures for c in f.result()]
-
+        checks += _mc_checks(model, tol, paths, dt, seed)
     return ValidationReport(model=model_to_dict(model), checks=tuple(checks))

@@ -228,6 +228,39 @@ def test_zscores_unbiased_over_seeds():
     assert abs(float(np.mean(zs))) <= 1.0
 
 
+def test_zero_spread_leaves_z_undefined():
+    # three paths that all survive: the mean misses the target but the
+    # standard error is zero, so no z-score can be given
+    est = estimate_survival(bm(1.0), MCConfig(dt=1e-3, paths=3, seed=1), 1.0)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+    assert est.analytic_target == pytest.approx(0.8646647167633873)
+    assert est.z_score is None
+
+
+def test_sweeps_cover_every_path_in_block_order():
+    # one sweep per block, sizes summing to config.paths, each block the
+    # same as a sweep run alone on that block's stream
+    from levyfluct.montecarlo import _BLOCK_PATHS, _philox, _plan, _sweep_block, _sweeps
+
+    m = model_b()
+    cfg = MCConfig(dt=2e-3, paths=_BLOCK_PATHS + 7, horizon=1.0, seed=4)
+    plan = _plan(m, cfg)
+    blocks = list(_sweeps(plan, cfg, 1.0, 1.0))
+    assert [b[0].size for b in blocks] == [_BLOCK_PATHS, 7]
+    alone = _sweep_block(plan, _philox(cfg.seed, 1), 7, 1.0, 1.0)
+    for got, want in zip(blocks[1], alone):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_laplace_estimators_name_their_passage():
+    # the shared Laplace helper words the shortfall per estimator
+    cfg = MCConfig(dt=1e-3, paths=50, horizon=0.01, seed=2)
+    with pytest.raises(InsufficientCrossings, match=r"paths reached 30\.0 before"):
+        estimate_upcross_laplace(bm(1.0), cfg, 30.0, 1.0)
+    with pytest.raises(InsufficientCrossings, match=r"^only 0 of 50 paths crossed 0 before"):
+        estimate_passage_below_laplace(bm(1.0), cfg, 30.0, 1.0)
+
+
 def test_grid_mean_table_is_one_array_call():
     # the allowance table evaluates its 256 points in one call and matches
     # the point-by-point table it replaced

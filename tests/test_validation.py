@@ -1,6 +1,6 @@
 import pytest
 
-from levyfluct import TOLERANCES, run_validation, worker_count
+from levyfluct import TOLERANCES, run_validation
 from conftest import bm, model_b, stable_sn, tempered_mixed
 
 
@@ -50,21 +50,23 @@ def test_with_mc_adds_estimator_checks():
     assert withmc.ok
 
 
-def test_worker_count_env(monkeypatch):
+def test_report_is_deterministic():
+    # the suites run serially in fixed order: a rerun repeats every value
+    first = run_validation(model_b())
+    again = run_validation(model_b())
+    assert [c.name for c in again.checks] == [c.name for c in first.checks]
+    assert [c.measured for c in again.checks] == [c.measured for c in first.checks]
+
+
+def test_thread_knob_is_gone(monkeypatch):
+    # no worker-count export, and the old environment variable changes nothing
+    import levyfluct
+
+    assert not hasattr(levyfluct, "worker_count")
+    serial = run_validation(bm(1.0))
     monkeypatch.setenv("LEVY_FLUCT_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("LEVY_FLUCT_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.delenv("LEVY_FLUCT_THREADS")
-    assert worker_count() >= 1
-
-
-def test_single_thread_matches_parallel(monkeypatch):
-    parallel = run_validation(model_b())
-    monkeypatch.setenv("LEVY_FLUCT_THREADS", "1")
-    serial = run_validation(model_b())
-    assert [c.name for c in serial.checks] == [c.name for c in parallel.checks]
-    assert [c.measured for c in serial.checks] == [c.measured for c in parallel.checks]
+    again = run_validation(bm(1.0))
+    assert [c.measured for c in again.checks] == [c.measured for c in serial.checks]
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +115,3 @@ def test_report_completes_near_alpha_two(model):
     assert {"exc.partition", "model.wh_space_factorization"} <= names
     assert report.ok, [c.name for c in report.failures]
 
-
-def test_suites_run_serially_by_default(monkeypatch):
-    monkeypatch.delenv("LEVY_FLUCT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("LEVY_FLUCT_THREADS", "0")
-    assert worker_count() == 1
-
-
-def test_thread_pool_matches_serial(monkeypatch):
-    monkeypatch.delenv("LEVY_FLUCT_THREADS", raising=False)
-    serial = run_validation(model_b())
-    monkeypatch.setenv("LEVY_FLUCT_THREADS", "2")
-    pooled = run_validation(model_b())
-    assert [c.name for c in pooled.checks] == [c.name for c in serial.checks]
-    assert [c.measured for c in pooled.checks] == [c.measured for c in serial.checks]
