@@ -11,11 +11,14 @@ estimators therefore carry no time-discretisation bias; ``dt`` only sets
 the automatic small-jump cutoff of infinite-activity families, and the
 step of ``simulate_path``, which records a whole path on a regular grid.
 
-Survival and creeping run every path to the horizon.  The Laplace
-estimators stop at min(horizon, 40/rate): a later crossing would add
-less than exp(-40) = 4.2e-18 to its path's discounted value, which is
-below the float resolution of the estimate, and the reported
-truncation_allowance still bounds that mass.
+Survival and creeping close the paths still above 0 at the horizon T with
+the analytic value S(X_T) or C(X_T); by the strong Markov property the
+closed score has mean S(x) or C(x) for every T (conditional Monte Carlo,
+Asmussen & Glynn 2007, ch. V), so T chooses the variance and how much
+crossing mass is simulated, not a bias.  The Laplace estimators stop at
+min(horizon, 40/rate): a later crossing would add less than exp(-40) =
+4.2e-18 to its path's discounted value, below the float resolution of
+the estimate, and the reported truncation_allowance still bounds it.
 
 Randomness is counter-based (Philox).  ``simulate_path`` keys a stream
 by (seed, streamIndex); the sweeps key one stream per block of paths
@@ -35,6 +38,7 @@ from .errors import (
     BadConfigError,
     BadParameterError,
     InsufficientCrossings,
+    InversionFailure,
     WrongRegimeError,
 )
 from .model import LevyModel, NoJumps, Regime, StableJumps
@@ -68,6 +72,9 @@ _MIN_CROSSINGS = 10
 # values near 0.1 sum to about 400, whose ulp is 5.7e-14), and the
 # truncation_allowance still carries that mass
 _DISCOUNT_HORIZON = 40.0
+# survival and creeping close their survivors at this many units of
+# 1/|psi'(0+)| by default: a variance choice, since the closure is exact
+_CLOSURE_HORIZON = 5.0
 # np.exp underflows to 0 below ln(2**-1075) = -745.13 and takes a slow
 # path on the way; the bridge exponents below this floor skip it, which
 # leaves the set of nonzero crossing probabilities unchanged
@@ -84,10 +91,11 @@ class MCConfig:
     """Simulation parameters.
 
     horizon None means "pick a default": 50/|psi'(0+)| for drifting
-    models; oscillating models have no natural time scale and must be
-    given one explicitly.  The Laplace estimators stop earlier, at
-    min(horizon, 40/rate), where the discount is below float resolution;
-    survival and creeping run to the horizon.  dt is the step of
+    models, 5/|psi'(0+)| in survival and creeping, which close their
+    survivors there exactly, so that it only chooses the variance;
+    oscillating models must be given one explicitly.  The Laplace
+    estimators stop at min(horizon, 40/rate), where the discount is
+    below float resolution.  dt is the step of
     ``simulate_path``; the estimators are exact in time and use dt only
     through the automatic small-jump cutoff.  small_jump_cutoff None
     triggers that rule: normal-approximation skewness below 1e-2 where
@@ -156,11 +164,12 @@ class Estimate:
     """Sample mean with its standard error and the analytic target.
 
     truncation_allowance bounds the mass the finite horizon may have cut
-    off (exact tower-property mass where a closed form exists, an upper
-    bound otherwise); comparisons against the target should allow
-    3*stderr + truncation_allowance.  For the Laplace estimators it is
+    off; comparisons against the target should allow 3*stderr +
+    truncation_allowance.  For the Laplace estimators it is
     (alive/n)*exp(-rate*T) at their horizon T = min(horizon, 40/rate),
-    so at most exp(-40) = 4.2e-18.  z_score is None when stderr is 0.
+    so at most exp(-40) = 4.2e-18.  Survival and creeping close their
+    survivors with the analytic value, which cuts off no mass, so theirs
+    is exactly 0.0.  z_score is None when stderr is 0.
     """
 
     mean: float
@@ -285,7 +294,7 @@ def _plan(model, config):
                  eps, 0.0, jumps.alpha, theta, acceptance=acceptance)
 
 
-def _resolve_horizon(model, config):
+def _resolve_horizon(model, config, units=50.0):
     if config.horizon is not None:
         return float(config.horizon)
     mean = model.mean
@@ -293,12 +302,7 @@ def _resolve_horizon(model, config):
         raise BadConfigError(
             "oscillating models have no default horizon; set one explicitly"
         )
-    return 50.0 / abs(mean)
-
-
-def _discount_horizon(model, config, rate):
-    # the Laplace estimators' horizon; see _DISCOUNT_HORIZON
-    return min(_resolve_horizon(model, config), _DISCOUNT_HORIZON / rate)
+    return units / abs(mean)
 
 
 def _philox(seed, stream):
@@ -582,19 +586,6 @@ def _finish(n, mean, m2, target, crossings=None, allowance=None):
     )
 
 
-def _grid_mean(values, fn):
-    # mean of fn over the sampled points via a 256-point interpolation
-    # table, from one call of fn on the array of table points; the
-    # consumers are truncation allowances, not estimates
-    if values.size == 0:
-        return 0.0
-    lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-12:
-        return float(fn(np.array([lo]))[0])
-    xs = np.linspace(lo, hi, 256)
-    return float(np.interp(values, xs, fn(xs)).mean())
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -604,7 +595,7 @@ def _laplace(model, config, plan, start, rate, target, what):
     # mean of exp(-rate * first passage below 0) from start, over paths
     # run to min(horizon, 40/rate); target() gives the analytic value and
     # ``what`` completes the InsufficientCrossings message
-    horizon = _discount_horizon(model, config, rate)
+    horizon = min(_resolve_horizon(model, config), _DISCOUNT_HORIZON / rate)
     crossings = 0
 
     def values():
@@ -622,26 +613,24 @@ def _laplace(model, config, plan, start, rate, target, what):
     return _finish(n, mean, m2, target(), crossings, allowance)
 
 
-def _to_horizon(model, config, plan, x, score, residual):
-    # paths from x run to the horizon; score(crossed, byjump) gives each
-    # path's value and the allowance is the survivors' share times the
-    # mean of residual over their final positions.  returns
-    # (n, mean, m2, crossings, allowance)
-    horizon = _resolve_horizon(model, config)
+def _to_horizon(model, config, plan, x, creeps, closure):
+    # paths from x run to the closure horizon T; a crossed path scores 1
+    # if ``creeps`` and no jump made its crossing, else 0, and a survivor
+    # scores closure(X_T), its analytic value from there, in one array
+    # call per block.  returns (n, mean, m2, crossings)
+    horizon = _resolve_horizon(model, config, _CLOSURE_HORIZON)
     crossings = 0
-    finals = []
 
     def values():
         nonlocal crossings
         for crossed, _, _, byjump, xf in _sweeps(plan, config, x, horizon):
             crossings += int(crossed.sum())
-            finals.append(xf[~crossed])
-            yield score(crossed, byjump)
+            out = np.where(byjump, 0.0, float(creeps))
+            out[~crossed] = closure(xf[~crossed])
+            yield out
 
     n, mean, m2 = _fold(values())
-    survivors = np.concatenate(finals)
-    allowance = (survivors.size / n) * _grid_mean(survivors, residual)
-    return n, mean, m2, crossings, float(allowance)
+    return n, mean, m2, crossings
 
 
 def estimate_upcross_laplace(model, config, a, q):
@@ -680,28 +669,39 @@ def estimate_passage_below_laplace(model, config, x, beta):
 
 
 def estimate_creeping(model, config, x):
-    """Fraction of paths that cross 0 continuously, against Kesten's form.
+    """Probability of crossing 0 continuously, against Kesten's form C(x).
 
     The sweep gives each crossing exactly, so a crossing creeps when no
-    jump made it.  Without a Gaussian part (sigma = 0 after the small-jump
-    treatment) no crossing counts as creeping and the estimate is exactly
-    zero, matching the identity.
+    jump made it; without a Gaussian part (sigma = 0 after the small-jump
+    treatment) none does.  A path still above 0 at the horizon scores
+    C(X_T), which cuts off nothing: truncation_allowance is 0.0.
     """
 
     x = _check_positive("x", x)
     plan = _plan(model, config)
     engine = make_engine(model)
-    n, mean, m2, crossings, allowance = _to_horizon(
-        model, config, plan, x,
-        lambda crossed, byjump: (crossed & ~byjump & (plan.sigma > 0.0)).astype(float),
-        lambda v: fluctuation.creeping_probability(engine, np.maximum(v, 1e-12)),
-    )
+
+    def closure(v):
+        try:
+            return fluctuation.creeping_probability(engine, v)
+        except InversionFailure as err:
+            raise InversionFailure(
+                f"creeping closure at survivor positions X_T in [{v.min():.4g}, "
+                f"{v.max():.4g}]: W'^(0) decays in the tail of a model drifting "
+                f"to +infinity, below what the contour resolves ({err})"
+            ) from err
+
+    n, mean, m2, crossings = _to_horizon(model, config, plan, x, plan.sigma > 0.0, closure)
     target = fluctuation.creeping_probability(engine, x)
-    return _finish(n, mean, m2, target, crossings, allowance)
+    return _finish(n, mean, m2, target, crossings, 0.0)
 
 
 def estimate_survival(model, config, x):
-    """Fraction of paths that never go below 0, against psi'(0+) W(x)."""
+    """Probability of never going below 0, against psi'(0+) W(x).
+
+    A path still above 0 at the horizon scores psi'(0+) W(X_T), which
+    cuts off nothing: truncation_allowance is 0.0.
+    """
 
     x = _check_positive("x", x)
     if model.drift_regime().kind is not Regime.TO_PLUS_INFINITY:
@@ -710,15 +710,10 @@ def estimate_survival(model, config, x):
         )
     plan = _plan(model, config)
     engine = make_engine(model)
-    n, mean, m2, _, allowance = _to_horizon(
-        model, config, plan, x,
-        lambda crossed, byjump: (~crossed).astype(float),
-        lambda v: np.clip(
-            1.0 - fluctuation.survival_probability(engine, np.maximum(v, 1e-12)), 0.0, 1.0
-        ),
-    )
+    n, mean, m2, _ = _to_horizon(model, config, plan, x, False,
+                                 lambda v: fluctuation.survival_probability(engine, v))
     target = fluctuation.survival_probability(engine, x)
-    return _finish(n, mean, m2, target, None, allowance)
+    return _finish(n, mean, m2, target, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

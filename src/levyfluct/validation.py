@@ -474,7 +474,8 @@ def _mc_checks(model, tol, paths, dt, seed):
     ]
     if model.drift_regime().kind is Regime.TO_PLUS_INFINITY:
         runs.append((montecarlo.estimate_survival, (1.0,), 0.0,
-                     "survival probability at x = 1"))
+                     "survival probability at x = 1, survivors closed at T with "
+                     "psi'(0+) W(X_T)"))
     for estimator, args, extra, context in runs:
         est = estimator(model, cfg, *args)
         slack = (est.truncation_allowance or 0.0) + extra

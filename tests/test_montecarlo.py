@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +10,20 @@ from levyfluct import (
     BadConfigError,
     BadParameterError,
     Estimate,
+    ExpJumps,
     InsufficientCrossings,
+    InversionFailure,
+    LevyModel,
     MCConfig,
+    StableJumps,
+    TemperedStableJumps,
     WrongRegimeError,
     estimate_creeping,
     estimate_passage_below_laplace,
     estimate_survival,
     estimate_upcross_laplace,
+    fluctuation,
+    make_engine,
     martingale_check,
     sample_terminal,
     simulate_path,
@@ -229,11 +238,12 @@ def test_zscores_unbiased_over_seeds():
 
 
 def test_zero_spread_leaves_z_undefined():
-    # three paths that all survive: the mean misses the target but the
-    # standard error is zero, so no z-score can be given
-    est = estimate_survival(bm(1.0), MCConfig(dt=1e-3, paths=3, seed=1), 1.0)
-    assert (est.mean, est.stderr) == (1.0, 0.0)
+    # one path: the mean misses the target but the standard error is
+    # zero, so no z-score can be given
+    est = estimate_survival(bm(1.0), MCConfig(dt=1e-3, paths=1, seed=1), 1.0)
+    assert est.stderr == 0.0
     assert est.analytic_target == pytest.approx(0.8646647167633873)
+    assert est.mean != est.analytic_target
     assert est.z_score is None
 
 
@@ -261,26 +271,57 @@ def test_laplace_estimators_name_their_passage():
         estimate_passage_below_laplace(bm(1.0), cfg, 30.0, 1.0)
 
 
-def test_grid_mean_table_is_one_array_call():
-    # the allowance table evaluates its 256 points in one call and matches
-    # the point-by-point table it replaced
-    from levyfluct import fluctuation, make_engine
-    from levyfluct.montecarlo import _grid_mean
+def test_closure_still_sees_a_wrong_drift():
+    # the closure scores survivors analytically, but the crossings before
+    # the horizon are simulated: a plan with 0.9 of the true drift must
+    # still miss the survival target by far, and the true plan must not
+    from levyfluct.montecarlo import _finish, _plan, _to_horizon
 
-    engine = make_engine(bm(1.0))
-    values = np.random.default_rng(5).uniform(0.2, 6.0, 1000)
-    calls = []
+    m = LevyModel(gamma=2.0, sigma2=1.0, jumps=ExpJumps(rate=1.0, jump_rate=2.0))
+    cfg = MCConfig(dt=1e-2, paths=4000, seed=0)
+    engine = make_engine(m)
+    target = fluctuation.survival_probability(engine, 1.0)
+    plan = _plan(m, cfg)
+    z = {}
+    for scale in (1.0, 0.9):
+        n, mean, m2, _ = _to_horizon(
+            m, cfg, replace(plan, drift=scale * plan.drift), 1.0, False,
+            lambda v: fluctuation.survival_probability(engine, v),
+        )
+        z[scale] = _finish(n, mean, m2, target).z_score
+    assert abs(z[1.0]) <= 3.0
+    assert z[0.9] < -4.5
 
-    def fn(v):
-        calls.append(np.size(v))
-        return np.clip(1.0 - fluctuation.survival_probability(engine, v), 0.0, 1.0)
 
-    xs = np.linspace(values.min(), values.max(), 256)
-    table = [min(max(1.0 - fluctuation.survival_probability(engine, float(x)), 0.0), 1.0)
-             for x in xs]
-    assert _grid_mean(values, fn) == float(np.interp(values, xs, table).mean())
-    assert calls == [256]
-    assert _grid_mean(np.full(3, 2.0), fn) == pytest.approx(math.exp(-2.0 * 2.0), rel=1e-12)
+@pytest.mark.parametrize("horizon", [1.0, 5.0, 50.0])
+def test_closure_is_unbiased_at_any_horizon(horizon):
+    # BM with drift 1: survivors closed at T score S(X_T) or C(X_T), so
+    # every T meets the target with no allowance
+    cfg = MCConfig(dt=1e-3, paths=20000, horizon=horizon, seed=8)
+    for estimator in (estimate_survival, estimate_creeping):
+        est = estimator(bm(1.0), cfg, 1.0)
+        assert est.truncation_allowance == 0.0
+        assert within_target(est)
+
+
+def test_stable_survival_meets_target_without_allowance():
+    # the validator's stable model at its dt: closed at 5/psi'(0+), with
+    # no allowance to hide behind
+    m = LevyModel(gamma=0.5, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=1.0))
+    est = estimate_survival(m, MCConfig(dt=1e-3, paths=10000, seed=0), 1.0)
+    assert est.truncation_allowance == 0.0
+    assert within_target(est)
+
+
+def test_tempered_creeping_fails_fast_and_names_the_tail():
+    # W'^(0) of this model decays past x of about 4, beyond the contour's
+    # reach: the closure raises at once, naming the survivors and the tail
+    m = LevyModel(gamma=1.0, sigma2=0.5,
+                  jumps=TemperedStableJumps(alpha=1.5, scale=1.0, tempering=1.0))
+    t0 = time.monotonic()
+    with pytest.raises(InversionFailure, match=r"survivor positions X_T in .*W'\^\(0\) decays"):
+        estimate_creeping(m, MCConfig(dt=1e-2, paths=2000, seed=1), 1.0)
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
