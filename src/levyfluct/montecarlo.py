@@ -15,10 +15,12 @@ Survival and creeping close the paths still above 0 at the horizon T with
 the analytic value S(X_T) or C(X_T); by the strong Markov property the
 closed score has mean S(x) or C(x) for every T (conditional Monte Carlo,
 Asmussen & Glynn 2007, ch. V), so T chooses the variance and how much
-crossing mass is simulated, not a bias.  The Laplace estimators stop at
-min(horizon, 40/rate): a later crossing would add less than exp(-40) =
-4.2e-18 to its path's discounted value, below the float resolution of
-the estimate, and the reported truncation_allowance still bounds it.
+crossing mass is simulated, not a bias.  The Laplace estimators read
+E[exp(-q tau)] as P(tau < e_q), the passage before an independent
+exponential killing time: each path discounts deterministically up to
+T0 = 5/q and is then killed at rate q, so it stops at min(horizon, T0 +
+E/q), E ~ Exp(1), and a crossing scores exp(-q min(tau, T0)).  The mean
+is exactly the discounted passage before the horizon, with no cap.
 
 Randomness is counter-based (Philox).  ``simulate_path`` keys a stream
 by (seed, streamIndex); the sweeps key one stream per block of paths
@@ -66,12 +68,11 @@ _BLOCK_PATHS = 16384
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
 _ROUND_EVENTS = 1 << 16
 _MIN_CROSSINGS = 10
-# the Laplace estimators simulate to at most this many units of 1/rate:
-# a crossing after t = 40/rate adds exp(-rate t) < exp(-40) = 4.2e-18 to
-# its path's value, below the rounding of the fold's block sums (4000
-# values near 0.1 sum to about 400, whose ulp is 5.7e-14), and the
-# truncation_allowance still carries that mass
-_DISCOUNT_HORIZON = 40.0
+# the Laplace estimators discount deterministically for this many units
+# of 1/rate and then kill each path at rate `rate`, an exact stand-in for
+# the discount (see _laplace); a crossing after the clock started would
+# score at most exp(-5) = 6.7e-3, so killing it costs little variance
+_DISCOUNT_CLOCK = 5.0
 # survival and creeping close their survivors at this many units of
 # 1/|psi'(0+)| by default: a variance choice, since the closure is exact
 _CLOSURE_HORIZON = 5.0
@@ -94,13 +95,13 @@ class MCConfig:
     models, 5/|psi'(0+)| in survival and creeping, which close their
     survivors there exactly, so that it only chooses the variance;
     oscillating models must be given one explicitly.  The Laplace
-    estimators stop at min(horizon, 40/rate), where the discount is
-    below float resolution.  dt is the step of
-    ``simulate_path``; the estimators are exact in time and use dt only
-    through the automatic small-jump cutoff.  small_jump_cutoff None
-    triggers that rule: normal-approximation skewness below 1e-2 where
-    the Gaussian part allows it, and a tail rate of jumps above the
-    cutoff at most 0.1/dt.
+    estimators stop each path at min(horizon, (5 + E)/rate), with E ~
+    Exp(1) its exponential killing clock, which keeps them exact.  dt is
+    the step of ``simulate_path``; the estimators are exact in time and
+    use dt only through the automatic small-jump cutoff.
+    small_jump_cutoff None triggers that rule: normal-approximation
+    skewness below 1e-2 where the Gaussian part allows it, and a tail
+    rate of jumps above the cutoff at most 0.1/dt.
     """
 
     dt: float
@@ -166,10 +167,11 @@ class Estimate:
     truncation_allowance bounds the mass the finite horizon may have cut
     off; comparisons against the target should allow 3*stderr +
     truncation_allowance.  For the Laplace estimators it is
-    (alive/n)*exp(-rate*T) at their horizon T = min(horizon, 40/rate),
-    so at most exp(-40) = 4.2e-18.  Survival and creeping close their
-    survivors with the analytic value, which cuts off no mass, so theirs
-    is exactly 0.0.  z_score is None when stderr is 0.
+    (alive/n)*exp(-rate*H) at the horizon H: it bounds the discounted
+    crossings at or after H, the only mass they leave out.  Survival and
+    creeping close their survivors with the analytic value, which cuts
+    off no mass, so theirs is exactly 0.0.  z_score is None when stderr
+    is 0.
     """
 
     mean: float
@@ -419,8 +421,9 @@ def _running_sum(a, first, out):
 def _sweep_block(plan, rng, m, start, horizon):
     """Run one block of paths from ``start`` > 0 until they cross below 0.
 
-    Exact for drift plus Brownian motion plus compound Poisson jumps: a
-    path is only simulated at its jump epochs and at the horizon.  Over an
+    ``horizon`` is a scalar or one stopping time per path.  Exact for
+    drift plus Brownian motion plus compound Poisson jumps: a path is
+    only simulated at its jump epochs and at its horizon.  Over an
     interval of length d from a > 0 the Gaussian part ends at b; the
     bridge in between crosses 0 with probability exp(-2ab/(sigma^2 d)),
     and surely when b <= 0.  Given a crossing, its time after the start of
@@ -428,16 +431,19 @@ def _sweep_block(plan, rng, m, start, horizon):
     & Atiya 2002); with sigma = 0 the path is linear between epochs.  A
     jump that lands below 0 crosses at its epoch.
 
-    Each round draws at most ``_ROUND_EVENTS`` epochs over all paths (one
-    per path when the block is larger), so memory stays bounded whatever
-    the jump rate.
+    Each round draws enough epochs to take a path with the mean remaining
+    time of the live paths to its horizon, and at most ``_ROUND_EVENTS``
+    over all paths (one per path when the block is larger), so memory
+    stays bounded whatever the jump rate; the paths left short go on in
+    the next round.
 
     Returns (crossed, tau, overshoot, by_jump, x_final): overshoot is the
     distance below 0 just after the crossing (0 for a continuous one) and
-    x_final the position at the horizon of paths that never crossed.
+    x_final the position at its horizon of a path that never crossed.
     """
 
     sig2 = plan.sigma * plan.sigma
+    stop = np.broadcast_to(np.asarray(horizon, dtype=float), (m,))
     t = np.zeros(m)
     x = np.full(m, float(start))
     crossed = np.zeros(m, dtype=bool)
@@ -450,21 +456,24 @@ def _sweep_block(plan, rng, m, start, horizon):
         r = alive.size
         t0 = t[alive]
         x0 = x[alive]
+        h0 = stop[alive]
         if plan.rate > 0.0:
-            # enough epochs to take most paths to the horizon, within budget
-            lam = plan.rate * (horizon - float(t0.min()))
-            k = max(1, min(_ROUND_EVENTS // r, int(lam + 3.0 * math.sqrt(lam)) + 1))
+            # enough epochs to take the mean path to its horizon with one
+            # standard deviation to spare, within budget: sizing for the
+            # slowest path pads all the others with zero-length rows
+            lam = plan.rate * float((h0 - t0).mean())
+            k = max(1, min(_ROUND_EVENTS // r, int(lam + math.sqrt(lam)) + 1))
             span = rng.exponential(1.0 / plan.rate, size=(k, r))
             epochs = _running_sum(span, t0, np.empty((k, r)))
-            # the first epoch past the horizon becomes the horizon itself
-            # and later rows are zero-length padding, which cannot cross;
-            # only those rows' spans differ from the gaps.  epochs grow
-            # down axis 0, so no path reached the horizon when the last
-            # row is all jumps
-            is_jump = epochs < horizon
+            # the first epoch past a path's horizon becomes the horizon
+            # itself and later rows are zero-length padding, which cannot
+            # cross; only those rows' spans differ from the gaps.  epochs
+            # grow down axis 0, so no path reached its horizon when the
+            # last row is all jumps
+            is_jump = epochs < h0
             clipped = not is_jump[-1].all()
             if clipped:
-                np.minimum(epochs, horizon, out=epochs)
+                np.minimum(epochs, h0, out=epochs)
                 # flat indices: a 2-D np.nonzero is several times slower
                 flat = np.flatnonzero(~is_jump)
                 up = flat - r
@@ -473,9 +482,9 @@ def _sweep_block(plan, rng, m, start, horizon):
                 span.ravel()[flat] = flat_epochs[flat] - before
         else:
             k = 1
-            epochs = np.full((1, r), horizon)
+            epochs = h0[None, :]
             is_jump = np.zeros((1, r), dtype=bool)
-            span = (horizon - t0)[None, :]
+            span = (h0 - t0)[None, :]
         post = plan.drift * span
         if sig2 > 0.0:
             noise = np.sqrt(span)
@@ -544,11 +553,18 @@ def _sweep_block(plan, rng, m, start, horizon):
     return crossed, tau, over, byjump, x
 
 
-def _sweeps(plan, config, start, horizon):
+def _sweeps(plan, config, start, horizon, kill=None):
     # _sweep_block on each block of paths, each on its own stream, in
-    # block order
+    # block order.  with a killing rate, each path also stops at its
+    # discount clock (_DISCOUNT_CLOCK + E)/kill, E ~ Exp(1) drawn first
+    # from the block's stream
     for index, size in _blocks(config):
-        yield _sweep_block(plan, _philox(config.seed, index), size, start, horizon)
+        rng = _philox(config.seed, index)
+        stop = horizon
+        if kill is not None:
+            clock = (_DISCOUNT_CLOCK + rng.standard_exponential(size)) / kill
+            stop = np.minimum(horizon, clock)
+        yield _sweep_block(plan, rng, size, start, stop)
 
 
 def _fold(values_iter):
@@ -592,23 +608,32 @@ def _finish(n, mean, m2, target, crossings=None, allowance=None):
 
 
 def _laplace(model, config, plan, start, rate, target, what):
-    # mean of exp(-rate * first passage below 0) from start, over paths
-    # run to min(horizon, 40/rate); target() gives the analytic value and
+    # mean of exp(-rate * first passage tau below 0) from start, up to the
+    # horizon H: each path stops at min(H, T0 + E/rate), T0 =
+    # _DISCOUNT_CLOCK/rate, and a crossing scores exp(-rate * min(tau,
+    # T0)).  given tau in (T0, H) the clock has not fired with
+    # probability exp(-rate (tau - T0)), so the score's mean is exactly
+    # E[exp(-rate tau); tau < H].  target() gives the analytic value and
     # ``what`` completes the InsufficientCrossings message
-    horizon = min(_resolve_horizon(model, config), _DISCOUNT_HORIZON / rate)
+    horizon = _resolve_horizon(model, config)
+    t0 = _DISCOUNT_CLOCK / rate
     crossings = 0
 
     def values():
         nonlocal crossings
-        for crossed, tau, _, _, _ in _sweeps(plan, config, start, horizon):
+        for crossed, tau, _, _, _ in _sweeps(plan, config, start, horizon, rate):
             crossings += int(crossed.sum())
-            yield np.where(crossed, np.exp(-rate * tau), 0.0)
+            yield np.where(crossed, np.exp(-rate * np.minimum(tau, t0)), 0.0)
 
     n, mean, m2 = _fold(values())
     if crossings < _MIN_CROSSINGS:
+        # before T0 no clock can fire, so below it H alone stops the paths
+        clock = "" if horizon <= t0 else f"their discount clocks {t0} + Exp(1)/{rate} or "
         raise InsufficientCrossings(
-            f"only {crossings} of {n} paths {what} before t={horizon}"
+            f"only {crossings} of {n} paths {what} before {clock}t={horizon}"
         )
+    # the mass of crossings at or after H, exp(-rate tau) <= exp(-rate H)
+    # each, bounded by the share of paths that had not crossed
     allowance = ((n - crossings) / n) * math.exp(-rate * horizon)
     return _finish(n, mean, m2, target(), crossings, allowance)
 
@@ -638,7 +663,9 @@ def estimate_upcross_laplace(model, config, a, q):
 
     Upward crossings are continuous (no positive jumps), so the sweep
     runs on the reflected gap a - X, whose jumps point away from the
-    barrier.  Paths run to min(horizon, 40/q).
+    barrier.  Each path runs to min(horizon, (5 + E)/q), its exponential
+    killing clock, and a crossing at tau scores exp(-q min(tau, 5/q)):
+    exact, with no cap on the discounted time.
     """
 
     a = _check_positive("a", a)
@@ -655,7 +682,9 @@ def estimate_upcross_laplace(model, config, a, q):
 def estimate_passage_below_laplace(model, config, x, beta):
     """Mean of exp(-beta * first passage time below 0) started from x.
 
-    Paths run to min(horizon, 40/beta).
+    Each path runs to min(horizon, (5 + E)/beta), its exponential killing
+    clock, and a crossing at tau scores exp(-beta min(tau, 5/beta)):
+    exact, with no cap on the discounted time.
     """
 
     x = _check_positive("x", x)

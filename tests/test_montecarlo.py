@@ -446,23 +446,27 @@ def test_sampler_zero_jumps_is_empty(case):
 
 
 # ---------------------------------------------------------------------------
-# discount horizon of the Laplace estimators
+# discount clocks of the Laplace estimators
 # ---------------------------------------------------------------------------
 
 
 def test_laplace_estimators_stop_at_discount_horizon():
-    # 40/q = 16 lies below both horizons, so both runs simulate to t = 16
+    # every path stops at its clock (5 + E)/q, far below both horizons,
+    # so the two runs simulate the same paths; only the allowance, which
+    # is taken at the horizon, differs
     m, rate = model_b(), 2.5
     for estimator in (estimate_passage_below_laplace, estimate_upcross_laplace):
         a = estimator(m, MCConfig(dt=1e-3, paths=4000, horizon=100.0, seed=3), 1.0, rate)
         b = estimator(m, MCConfig(dt=1e-3, paths=4000, horizon=200.0, seed=3), 1.0, rate)
-        assert a == b
-        assert a.truncation_allowance <= math.exp(-40.0)
+        assert (a.mean, a.stderr, a.n, a.crossings) == (b.mean, b.stderr, b.n, b.crossings)
+        assert a.truncation_allowance <= math.exp(-rate * 100.0)
+        assert b.truncation_allowance <= math.exp(-rate * 200.0)
         assert within_target(a)
 
 
 def test_short_user_horizon_is_honoured():
-    # below 40/beta = 20 the user's horizon is the horizon
+    # below 5/beta = 2.5 no clock can fire: the user's horizon stops
+    # every path, and the message names it alone
     cfg = MCConfig(dt=1e-3, paths=4000, horizon=0.5, seed=2)
     est = estimate_passage_below_laplace(bm(1.0), cfg, 1.0, 2.0)
     alive = est.n - est.crossings
@@ -473,7 +477,72 @@ def test_short_user_horizon_is_honoured():
 
 
 def test_insufficient_crossings_names_discount_horizon():
-    # default horizon 50, discount horizon 40/2.5 = 16
+    # default horizon 50; the clocks start at 5/2.5 = 2
     cfg = MCConfig(dt=1e-3, paths=50, seed=2)
-    with pytest.raises(InsufficientCrossings, match=r"before t=16\.0$"):
+    with pytest.raises(InsufficientCrossings,
+                       match=r"before their discount clocks 2\.0 \+ Exp\(1\)/2\.5 or t=50\.0$"):
         estimate_upcross_laplace(bm(1.0), cfg, 30.0, 2.5)
+
+
+@pytest.mark.parametrize("model", [model_b(), LevyModel(
+    gamma=0.5, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=1.0))], ids=["cp", "stable"])
+def test_discount_clock_pays_no_variance(model, monkeypatch):
+    # against clocks started at 40/q, where the killing never matters,
+    # the clocks at 5/q give the same standard error within 3%, and both
+    # meet their targets
+    from levyfluct import montecarlo
+
+    cfg = MCConfig(dt=1e-2, paths=20000, seed=5)
+    runs = {}
+    for clock in (5.0, 40.0):
+        monkeypatch.setattr(montecarlo, "_DISCOUNT_CLOCK", clock)
+        runs[clock] = [estimate_passage_below_laplace(model, cfg, 1.0, 2.5),
+                       estimate_upcross_laplace(model, cfg, 1.0, 2.5)]
+    for short, full in zip(runs[5.0], runs[40.0]):
+        assert 0.97 <= short.stderr / full.stderr <= 1.03
+        assert within_target(short) and within_target(full)
+
+
+def test_discount_clock_still_sees_a_wrong_drift():
+    # the clocks only replace the tail of the discount: a plan with 0.8
+    # of the true drift crosses sooner and must overshoot the target by
+    # far, and the true plan must not
+    from levyfluct.montecarlo import _laplace, _plan
+
+    m = model_b()
+    cfg = MCConfig(dt=1e-2, paths=20000, seed=0)
+    plan = _plan(m, cfg)
+    target = fluctuation.passage_below_laplace(make_engine(m), 2.5, 1.0)
+    z = {scale: _laplace(m, cfg, replace(plan, drift=scale * plan.drift), 1.0, 2.5,
+                         lambda: target, "crossed 0").z_score
+         for scale in (1.0, 0.8)}
+    assert abs(z[1.0]) <= 3.0
+    assert z[0.8] > 4.5
+
+
+def test_scalar_horizon_broadcasts_bitwise():
+    # a scalar horizon and the same value for every path run one sweep
+    from levyfluct.montecarlo import _philox, _plan, _sweep_block
+
+    m = model_b()
+    plan = _plan(m, MCConfig(dt=1e-2, paths=1))
+    scalar = _sweep_block(plan, _philox(9, 0), 3000, 1.0, 4.0)
+    array = _sweep_block(plan, _philox(9, 0), 3000, 1.0, np.full(3000, 4.0))
+    for got, want in zip(array, scalar):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", [model_b(), stable_sn()], ids=["cp", "stable"])
+def test_no_crossing_after_own_horizon(model):
+    # per-path horizons spread over two orders of magnitude: each crossing
+    # falls inside its own path's horizon, and so do some of both kinds
+    from levyfluct.montecarlo import _philox, _plan, _sweep_block
+
+    plan = _plan(model, MCConfig(dt=1e-2, paths=1))
+    stop = np.geomspace(0.05, 5.0, 4000)
+    crossed, tau, _, _, _ = _sweep_block(plan, _philox(3, 0), stop.size, 1.0, stop)
+    assert 0 < crossed.sum() < stop.size
+    assert np.all(tau[crossed] > 0.0)
+    assert np.all(tau[crossed] <= stop[crossed])
+    short = stop < 0.5
+    assert crossed[short].any() and crossed[~short].any()
