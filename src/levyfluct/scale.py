@@ -21,7 +21,9 @@ closed form (``auto``, where the family has one)
     as an independent cross-check.  The shift above phi(q) is tapered
     like 2/x for x > 2: the inversion multiplies by exp(c*x) at the end,
     so any roundoff on the contour is amplified by that factor and a
-    constant shift would lose six digits by x = 10.
+    constant shift would lose six digits by x = 10.  The shift, like
+    Talbot's r, is set at the point's anchor, the centre of its cell
+    among 16 geometric cells per octave (``_cells``).
 
 The convolution series sum_k q^k W^{*(k+1)}(x) is not a route but an
 independent oracle, ``w_series_check``: it runs on a trapezoid grid,
@@ -46,14 +48,15 @@ array of its shape.  Every route takes either form; only the masks that
 set the points x <= 0 apart branch on it.  A float is not made a
 1-element array, because numpy's cost per call on such arrays is
 several times that of a rational closed form.  Every route evaluates a
-whole array at once; a contour rule makes one transform call on an
-(n, M) node array per batch of points, so the quadratures over W in
-``laplace_roundtrip`` and the validation suites pay for a few such
-calls instead of one inversion per node.  Every point keeps its own
-self-estimate and, in the remainder contour, its own tie-break.  A
-point that fails raises ``InversionFailure`` naming its x, and so does
-a value that is not finite (a closed form overflowing far in the tail),
-so no call returns NaN or inf for a point x > 0.
+whole array at once; points share anchored contours, so a contour rule
+makes one transform call on an (anchors, M) node array, one row per
+occupied cell, and the quadratures over W in ``laplace_roundtrip`` and
+the validation suites pay for a few such calls instead of one inversion
+per node.  Every point keeps its own self-estimate and, in the remainder
+contour, its own tie-break.  A point that fails raises
+``InversionFailure`` naming its x, and so does a value that is not
+finite (a closed form overflowing far in the tail), so no call returns
+NaN or inf for a point x > 0.
 
 W^(q)(x) = 0 for x < 0 and, in the unbounded-variation class accepted by
 the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
@@ -61,6 +64,7 @@ the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -92,7 +96,8 @@ class ScaleConfig:
 
     ``nodes`` is the Talbot node count M; 32 keeps the rule comfortably
     inside double precision (larger M amplifies roundoff through the
-    exp(c*x) factor faster than it reduces truncation error).
+    exp(c*x) factor faster than it reduces truncation error).  Points
+    share anchored contours, one per cell of 16 to the octave.
     """
 
     method: str = "auto"
@@ -220,9 +225,38 @@ def _shift(base, x):
     return base + max(1.0, base / 10.0) * (2.0 / np.maximum(x, 2.0))
 
 
-# complex transform values per transform call: bounds the memory of one
-# batch of points however many are asked for at once
-_BATCH = 1 << 12
+# anchors: the centres of a geometric grid of 16 cells per octave, found
+# from the mantissa of frexp, so r*x stays within 2^(1/32) of the 2M/5
+# the rule is tuned to (4 edge-anchored cells per octave lost a digit of
+# the M = 32 rule: 1.6e-9 against 2.4e-10 on the closed forms)
+_CELLS = 16
+_EDGES = 2.0 ** (np.arange(_CELLS) / _CELLS) / 2.0
+_CENTRES = 2.0 ** ((np.arange(_CELLS) + 0.5) / _CELLS) / 2.0
+
+
+def _cells(x):
+    # the anchors the points of the 1-D array x > 0 occupy, each once, and
+    # cell[i], point i's row among them (None, the anchors following x,
+    # while no two share one).  One point takes the scalar path (frexp)
+    if x.size == 1:
+        m, e = math.frexp(x[0])
+        return np.array([math.ldexp(_CENTRES[bisect.bisect_right(_EDGES, m) - 1], e)]), None
+    m, e = np.frexp(x)
+    anchor = np.ldexp(_CENTRES[np.searchsorted(_EDGES, m, side="right") - 1], e)
+    order = np.argsort(anchor)
+    ordered = anchor[order]
+    first = np.ones(x.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if first.all():
+        return anchor, None
+    cell = np.empty(x.size, dtype=np.intp)
+    cell[order] = np.cumsum(first) - 1
+    return ordered[first], cell
+
+
+# complex values per transform call or per-point temporary: bounds the
+# memory of a call however many points are asked for at once
+_BATCH = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,34 +270,41 @@ def _talbot_rule(M):
     return theta, cot + 1j, 1.0 + 1j * sigma
 
 
-def _talbot_once(transform, x, M, base):
+def _talbot_once(transform, x, cells, M, base):
     """Fixed-Talbot rule with M nodes at the points of the 1-D array x.
 
-    Every batch of points costs one transform call on an (n, M) node array.
+    Points share anchored contours (``cells = _cells(x)``): a point takes
+    r = 2M/(5a) and the shift c(a) of its anchor a, and its own x in the
+    exponentials.  The transform is called on one (anchors, M) node
+    array, not on (n, M); only the exponentials are paid per point.
     """
     theta, path, weight = _talbot_rule(M)
-    out = np.empty(x.shape)
+    anchor, cell = cells
+    r = 2.0 * M / (5.0 * anchor)
+    c = _shift(base, anchor)
+    sk = r[:, None] * theta * path
+    nodes = np.empty((anchor.size, M), dtype=complex)
+    nodes[:, 0] = r + c
+    nodes[:, 1:] = sk + c[:, None]
     step = max(1, _BATCH // M)
+    batches = [transform(nodes[i : i + step]) for i in range(0, anchor.size, step)]
+    vals = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    vals[:, 1:] *= weight
+    out = np.empty(x.shape)
     for i in range(0, x.size, step):
-        xb = x[i : i + step, None]
-        c = _shift(base, xb)
-        r = 2.0 * M / (5.0 * xb)
-        sk = r * theta * path
-        nodes = np.empty((xb.shape[0], M), dtype=complex)
-        nodes[:, :1] = r + c
-        nodes[:, 1:] = sk + c
-        vals = transform(nodes)
-        head = 0.5 * vals[:, :1].real * np.exp(r * xb)
-        body = np.sum(np.real(np.exp(sk * xb) * vals[:, 1:] * weight), axis=1, keepdims=True)
-        out[i : i + step] = (np.exp(c * xb) * (r / M) * (head + body))[:, 0]
+        rows = slice(i, i + step) if cell is None else cell[i : i + step]
+        xb = x[i : i + step]
+        head = 0.5 * vals[rows, 0].real * np.exp(r[rows] * xb)
+        body = (np.exp(sk[rows] * xb[:, None]) * vals[rows, 1:]).real.sum(axis=1)
+        out[i : i + step] = np.exp(c[rows] * xb) * (r[rows] / M) * (head + body)
     return out
 
 
-def _bromwich_once(transform, x, base, m=11, n=28, A=18.4):
+def _bromwich_once(transform, x, shift, m=11, n=28, A=18.4):
     # damped trapezoid rule with Euler (binomial) acceleration of the tail,
-    # at the points of the 1-D array x in one transform call
+    # at the points of the 1-D array x, each with its shift, in one call
     xb = x[:, None]
-    c = _shift(base, xb)
+    c = shift[:, None]
     a0 = A / (2.0 * xb)
     ks = np.arange(0, n + m + 1, dtype=float)
     s = a0 + 1j * ks * np.pi / xb
@@ -484,8 +525,9 @@ class ScaleEngine:
         n1 = min(self.config.nodes, 24)
         n2 = max(12, (3 * n1) // 4)
         xs = np.atleast_1d(x)
-        v1 = _talbot_once(transform, xs, n1, 0.0)
-        v2 = _talbot_once(transform, xs, n2, 0.0)
+        cells = _cells(xs)
+        v1 = _talbot_once(transform, xs, cells, n1, 0.0)
+        v2 = _talbot_once(transform, xs, cells, n2, 0.0)
         scale = 1.0 + abs(lead_coeff)
 
         def _agree(a, b):
@@ -497,7 +539,7 @@ class ScaleEngine:
             # rule at isolated (q, x); a third geometry breaks the tie at
             # the points where the first two disagree
             a1, a2 = v1[split], v2[split]
-            a3 = _talbot_once(transform, xs[split], n1 - 3, 0.0)
+            a3 = _talbot_once(transform, xs[split], _cells(xs[split]), n1 - 3, 0.0)
             take3 = _agree(a3, a2)
             fail = ~take3 & ~_agree(a1, a3)
             if fail.any():
@@ -597,20 +639,23 @@ class ScaleEngine:
 
         xs = np.atleast_1d(x)
         base = m.phi(q)
-        # shift*x grows with x, so the largest x decides
-        if _shift(base, xs.max()) * xs.max() > 700.0:
-            at = xs[_shift(base, xs) * xs > 700.0][0]
+        anchor, cell = cells = _cells(xs)
+        # the shift each point takes at its anchor, times its own x
+        shift = _shift(base, anchor if cell is None else anchor[cell])
+        reach = shift * xs
+        if reach.max() > 700.0:
+            at = xs[reach > 700.0][0]
             raise InversionFailure(
                 f"exp(shift*x) overflows double precision at q={q}, x={at}; "
                 "the contour route cannot reach this far into the tail"
             )
         if self.config.inversion == "talbot":
             M = self.config.nodes
-            v1 = _talbot_once(transform, xs, M, base)
-            v2 = _talbot_once(transform, xs, max(16, (3 * M) // 4), base)
+            v1 = _talbot_once(transform, xs, cells, M, base)
+            v2 = _talbot_once(transform, xs, cells, max(16, (3 * M) // 4), base)
         else:
-            v1 = _bromwich_once(transform, xs, base)
-            v2 = _bromwich_once(transform, xs, base, m=11, n=24)
+            v1 = _bromwich_once(transform, xs, shift)
+            v2 = _bromwich_once(transform, xs, shift, m=11, n=24)
         if kind == "z":
             v1 = 1.0 + q * v1
             v2 = 1.0 + q * v2

@@ -10,6 +10,7 @@ from levyfluct import (
     LevyModel,
     ScaleConfig,
     SeriesDivergence,
+    StableJumps,
     TemperedStableJumps,
     laplace_roundtrip,
     make_engine,
@@ -338,3 +339,74 @@ def test_roundtrip_grades_the_pure_jump_endpoint():
     rt = laplace_roundtrip(engine, q, m.phi(q) + 2.0)
     assert abs(rt.rel_gap) <= 1e-10
     assert engine.points <= 300
+
+
+# ---------------------------------------------------------------------------
+# anchored contours
+# ---------------------------------------------------------------------------
+
+
+def _drifting_stable():
+    # the stable model of the Monte Carlo benchmark, on the contour route
+    return LevyModel(gamma=1.0, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=0.5))
+
+
+def _shared_anchor_points():
+    # random points that share anchors, the cell edges 2^(j/16) and the
+    # powers of two among them
+    edges = 2.0 ** (np.arange(-32, 62) / 16.0)
+    rng = np.random.default_rng(14)
+    return rng.permutation(np.concatenate([rng.uniform(0.2, 14.0, 2000 - edges.size), edges]))
+
+
+@pytest.mark.parametrize("model", [tempered_mixed(), _drifting_stable()],
+                         ids=["tempered", "stable"])
+def test_array_calls_share_anchors_and_match_scalar_calls(model):
+    engine = make_engine(model)
+    x = _shared_anchor_points()
+    for fn, q in ((engine.w, 0.0), (engine.w_prime, 0.5), (engine.z, 2.5),
+                  (engine.w_minus_leading, 0.5)):
+        got = fn(q, x)
+        want = [fn(q, float(v)) for v in x]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("model", [bm(1.0), bm(-0.5, 2.0), model_b()],
+                         ids=["bm_up", "bm_down", "model_b"])
+def test_contour_route_meets_closed_forms(model):
+    # the worst relative error here is about 2.4e-10; 4 edge-anchored
+    # cells per octave read 1.6e-9
+    closed = make_engine(model)
+    contour = make_engine(model, ScaleConfig(method="contour"))
+    x = np.geomspace(1e-3, 30.0, 2001)
+    for q in (0.0, 0.5, 2.5):
+        # the contour shift is at most phi(q) + max(1, phi(q)/10)
+        phi = model.phi(q)
+        xs = x[(phi + max(1.0, phi / 10.0)) * x < 700.0]
+        rel = np.abs(contour.w(q, xs) / closed.w(q, xs) - 1.0)
+        assert rel.max() <= 1e-9
+
+
+class _CountingModel:
+    # forwards to a model and counts the rows of the node arrays psi is
+    # evaluated on
+    def __init__(self, model):
+        self._model = model
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def psi(self, lam):
+        self.rows += np.shape(lam)[0] if np.ndim(lam) == 2 else 1
+        return self._model.psi(lam)
+
+
+def test_contour_calls_the_transform_once_per_occupied_cell():
+    model = _CountingModel(tempered_mixed())
+    engine = make_engine(model)
+    x = np.random.default_rng(3).uniform(0.2, 14.0, 3000)
+    engine.w(0.5, x)
+    cells = np.unique(np.floor(16.0 * np.log2(x))).size
+    # two rules, the M = 32 value and its M = 24 self-estimate
+    assert 0 < model.rows <= 2 * cells
