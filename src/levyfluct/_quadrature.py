@@ -1,22 +1,20 @@
 """Shared quadrature helpers.
 
-Thin wrappers around :func:`scipy.integrate.quad` that (a) map
-semi-infinite integrals with a known exponential decay rate onto (0, 1]
-so the sampler sees a bounded, well-scaled integrand, and (b) turn
-scipy's reports of unreliable results into exceptions.
+One rule serves every integral of the package: an adaptive 21-point
+Gauss-Kronrod rule written in numpy.  The integrand takes a 1-D array of
+abscissae and returns the array of its values, and every new batch of
+subintervals costs one integrand call, so integrands built on the scale
+engine's array calls or on the jump families' array tails pay little
+more for a few hundred points than for one.  A result whose error
+estimate misses its target raises instead of returning.
 
-With ``vectorized=True`` either wrapper runs on an adaptive 21-point
-Gauss-Kronrod rule written in numpy instead of QUADPACK: the integrand
-takes a 1-D array of abscissae and returns the array of its values, and
-every new batch of subintervals costs one integrand call.  Integrands
-built on the scale engine's array calls or on the jump families' array
-tails use it, because one call on a few hundred points costs little more
-than one call on a single point.  The rule bisects but does not
-extrapolate, so a power-law endpoint is first made bounded by the graded
-map of :func:`integrate_graded`; the jump-tail integrals behind the
-excursion and ladder references and the transforms of W at sigma2 = 0
-take that route.  Scalar callables stay on QUADPACK, whose epsilon
-algorithm (QAGS) resolves such endpoints itself.
+``integrate_semiinfinite`` maps a tail with a known exponential decay
+rate onto (0, 1], so the rule sees a bounded, well-scaled integrand.
+The rule bisects but does not extrapolate, so a power-law endpoint is
+first made bounded by the graded map of :func:`integrate_graded`; the
+jump-tail integrals behind the excursion, overshoot and ladder
+references and the transforms of W at sigma2 = 0 take that route, through
+:func:`_jump_quadrature` for the jump tails.
 """
 
 from __future__ import annotations
@@ -24,12 +22,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure
 
-# most subintervals either route may use; this also bounds one
-# vectorized integrand call to _LIMIT * 21 abscissae
+# most subintervals the rule may use; this also bounds one integrand
+# call to _LIMIT * 21 abscissae
 _LIMIT = 200
 
 # 21-point Gauss-Kronrod rule of QUADPACK's qk21: the abscissae in
@@ -61,14 +58,6 @@ _GAUSS = np.zeros(21)
 _GAUSS[1:10:2] = _WG
 _GAUSS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
-
-
-def _quiet_quad(*args, **kwargs):
-    # the error-estimate checks below already turn unreliable results into
-    # exceptions; full_output makes scipy return its message instead of
-    # warning, without touching the process-wide warning filters that
-    # concurrent callers share
-    return integrate.quad(*args, full_output=1, **kwargs)[:2]
 
 
 def _gk21(f, lo, hi):
@@ -134,17 +123,12 @@ def _checked(val, err, where, rtol, atol):
     return val
 
 
-def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13, vectorized=False):
-    """Integrate f over [a, b], raising on an unreliable result.
+def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13):
+    """Integrate the array function f over [a, b], raising on an unreliable result.
 
-    QUADPACK by default; with ``vectorized`` f maps an array of abscissae
-    to an array of values and the array Gauss-Kronrod rule replaces it.
+    ``points`` are break points: each starts as an interval end.
     """
-    if vectorized:
-        val, err = _adaptive(f, a, b, rtol, atol, points or ())
-    else:
-        val, err = _quiet_quad(f, a, b, points=points, epsrel=rtol, epsabs=atol,
-                               limit=_LIMIT)
+    val, err = _adaptive(f, a, b, rtol, atol, points or ())
     return _checked(val, err, f"[{a}, {b}]", rtol, atol)
 
 
@@ -189,34 +173,41 @@ def integrate_graded(f, split, grade, *, decay=0.0, tail_grade=1.0, rtol=1e-10,
         out[z <= 0.0], out[z > 0.0] = vals[: t.size], vals[t.size:]
         return out
 
-    return integrate_finite(g, -1.0, 1.0, points=(0.0,), rtol=rtol, atol=atol,
-                            vectorized=True)
+    return integrate_finite(g, -1.0, 1.0, points=(0.0,), rtol=rtol, atol=atol)
 
 
-def integrate_semiinfinite(f, a=0.0, *, decay=1.0, rtol=1e-10, atol=1e-13,
-                           vectorized=False):
-    """Integrate f over [a, infinity) when f decays roughly like exp(-decay*x).
+def integrate_semiinfinite(f, a=0.0, *, decay=1.0, rtol=1e-10, atol=1e-13):
+    """Integrate the array function f over [a, inf) when it decays like exp(-decay*x).
 
-    Substitutes x = a - log(u)/decay, which maps the tail onto u in (0, 1]
+    Substitutes x = a - log(t)/decay, which maps the tail onto t in (0, 1]
     and gives an integrand bounded at both ends whenever the stated decay
     rate is not an overestimate.  Without a decay hint (decay <= 0) the
-    map is QUADPACK's x = a + (1 - t)/t.  With ``vectorized`` f maps an
-    array of abscissae to an array of values, and the array Gauss-Kronrod
-    rule replaces QUADPACK.
+    map is x = a + (1 - t)/t.
     """
-    if vectorized:
-        def g(t):
-            x, jac = _tail_map(t, a, decay)
-            return f(x) * jac
+    def g(t):
+        x, jac = _tail_map(t, a, decay)
+        return f(x) * jac
 
-        val, err = _adaptive(g, 0.0, 1.0, rtol, atol)
-    elif decay > 0.0:
-        def g(u):
-            x = a - math.log(u) / decay
-            return f(x) / (decay * u)
-
-        val, err = _quiet_quad(g, 0.0, 1.0, epsrel=rtol, epsabs=atol, limit=_LIMIT)
-    else:
-        # no usable decay hint; scipy's own infinite handling
-        val, err = _quiet_quad(f, a, math.inf, epsrel=rtol, epsabs=atol, limit=_LIMIT)
+    val, err = _adaptive(g, 0.0, 1.0, rtol, atol)
     return _checked(val, err, f"[{a}, inf)", rtol, atol)
+
+
+def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
+    # integral over (0, inf) of an array integrand that behaves like
+    # u * pitail(u) at 0 and like exp(-tail_decay*u) * pitail(u) at
+    # infinity, on the array rule: the independent reference for the
+    # closed forms of the excursion layer.  For the stable families the
+    # graded maps bound the u**(1-alpha) endpoint of the head and the
+    # pitail(u) ~ u**(-alpha) of a bare power tail (stable, tail_decay =
+    # 0); the compound Poisson tail is bounded at 0 and decays
+    # exponentially as it stands.  The tail takes no exponential map even
+    # where a decay rate exists: at a rate as small as phi(0) = 3.5e-11
+    # (stable, gamma = -0.3, alpha = 1.05) that map squeezes the power-law
+    # part into the last 1e-11 of the rule's interval, and the integral
+    # came out 5e-9 off
+    if jumps.infinite_variation:
+        grade, tail_grade = 1.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
+    else:
+        grade = tail_grade = 1.0
+    return integrate_graded(integrand, 5.0 / max(tail_decay, 1.0), grade,
+                            tail_grade=tail_grade, rtol=rtol, atol=atol)

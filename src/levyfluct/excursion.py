@@ -28,11 +28,12 @@ family's ``tail_transform`` and ``tail_moment``.  With them the
 partition holds by algebra, so the quadratures of the paper's
 integrands are kept only as an independent reference: the validation
 suite measures the partition residual with them too, and
-``occupation_overshoot_identity`` recomputes the overshoot mass by a
-double quadrature.  Those integrals (and the ladder form of the
-validation suite) run on the array Gauss-Kronrod rule over the jump
-family's array tail, with graded maps that bound the u**(1 - alpha)
-endpoint at 0 and a bare power tail at infinity.
+``occupation_overshoot_identity`` recomputes the overshoot mass from the
+occupation density, its double integral collapsed by Fubini to one
+quadrature of the jump density.  Those integrals (and the ladder form of
+the validation suite) run on the array Gauss-Kronrod rule over the jump
+family's array tail or density, with graded maps that bound the
+u**(1 - alpha) endpoint at 0 and a bare power tail at infinity.
 
 All functions take a ScaleEngine so repeated calls share the engine's
 caches; the model is reached through ``engine.model``.
@@ -44,10 +45,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from ._quadrature import integrate_finite, integrate_graded, integrate_semiinfinite
+from ._quadrature import _jump_quadrature, integrate_finite
 from .errors import BadParameterError, DegenerateDenominator
-from .model import NoJumps, _tail_decay_hint
+from .model import NoJumps
 
 __all__ = [
     "IntensityTable",
@@ -173,26 +175,6 @@ def intensity_upper_creep(engine, beta):
 def intensity_stay_positive(engine):
     """n(tau0minus = inf) = psi'(0+) when drifting to +inf, else 0."""
     return max(engine.model.mean, 0.0)
-
-
-def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
-    # integral over (0, inf) of an array integrand that behaves like
-    # u * pitail(u) at 0 and like exp(-tail_decay*u) * pitail(u) at
-    # infinity, on the array rule: the independent reference for the
-    # closed forms below.  For the stable families the graded maps bound
-    # the u**(1-alpha) endpoint of the head and the pitail(u) ~ u**(-alpha)
-    # of a bare power tail (stable, tail_decay = 0); the compound Poisson
-    # tail is bounded at 0 and decays exponentially as it stands.  The
-    # tail takes no exponential map even where a decay rate exists: at a
-    # rate as small as phi(0) = 3.5e-11 (stable, gamma = -0.3, alpha =
-    # 1.05) that map squeezes the power-law part into the last 1e-11 of
-    # the rule's interval, and the integral came out 5e-9 off
-    if jumps.infinite_variation:
-        grade, tail_grade = 1.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
-    else:
-        grade = tail_grade = 1.0
-    return integrate_graded(integrand, 5.0 / max(tail_decay, 1.0), grade,
-                            tail_grade=tail_grade, rtol=rtol, atol=atol)
 
 
 def _cross_before(engine, beta):
@@ -367,6 +349,8 @@ def entrance_law_laplace(engine, q, f, support):
     to 1.
 
     f must be integrable on the finite interval ``support = (lo, hi)``.
+    It is called on 1-D numpy arrays of points and returns their values,
+    or a constant that broadcasts against them.
     """
     q = float(q)
     if not (math.isfinite(q) and q > 0.0):
@@ -378,21 +362,15 @@ def entrance_law_laplace(engine, q, f, support):
     phi = m.phi(q)
     phip = m.phi_prime(q)
 
-    def weight(x):
-        if x >= 0.0:
-            return math.exp(-phi * x)
-        return -engine.w_minus_leading(q, -x) / phip
-
-    full = 0.0
-    if lo < 0.0:
-        full += integrate_finite(lambda x: f(x) * weight(x), lo, min(hi, 0.0))
-    if hi > 0.0:
-        full += integrate_finite(lambda x: f(x) * weight(x), max(lo, 0.0), hi)
-
+    # on x >= 0 the full-line weight is exp(-phi(q)x), so the positive
+    # part is also the full line's share of [0, hi]
     positive = 0.0
     if hi > 0.0:
-        positive = integrate_finite(
-            lambda x: math.exp(-phi * x) * f(x), max(lo, 0.0), hi
+        positive = integrate_finite(lambda x: np.exp(-phi * x) * f(x), max(lo, 0.0), hi)
+    full = positive
+    if lo < 0.0:
+        full += integrate_finite(
+            lambda x: -f(x) * engine.w_minus_leading(q, -x) / phip, lo, min(hi, 0.0)
         )
     return EntranceLaw(full_line=full, positive_part=positive)
 
@@ -421,8 +399,14 @@ def occupation_overshoot_identity(engine):
 
     Recomputes overshoot_mass by integrating the occupation density
     against the jump measure weighted by the harmonic-minorant scale
-    g(w) = (1 - exp(phi(0)w))/phi(0), w < 0.  The two results agree up
-    to quadrature error whenever the mass is finite.
+    g(w) = (1 - exp(phi(0)w))/phi(0), w < 0.  Fubini collapses that
+    double integral to one quadrature of the jump density,
+
+        integral_0^inf pi(u) * P(2, phi(0)*u)/phi(0)**2 du,
+
+    with P the regularized lower incomplete gamma function, whose kernel
+    is u**2/2 at phi(0) = 0.  The two results agree up to quadrature
+    error whenever the mass is finite.
     """
     m = engine.model
     direct = overshoot_mass(engine)
@@ -433,28 +417,14 @@ def occupation_overshoot_identity(engine):
             "occupation cross-check requires a finite overshoot mass"
         )
     phi0 = m.phi(0.0)
-    hint = _tail_decay_hint(m.jumps)
 
-    def g_neg(s):
-        # g(-s) for s > 0
+    def kernel(u):
+        # integral_0^u exp(-phi0*(u - s)) g(-s) ds
         if phi0 == 0.0:
-            return s
-        return (1.0 - math.exp(-phi0 * s)) / phi0
+            return 0.5 * u * u
+        return special.gammainc(2.0, phi0 * u) / phi0**2
 
-    def tail_weight(y):
-        return integrate_semiinfinite(
-            lambda s: float(m.jumps.density(y + s)) * g_neg(s),
-            a=0.0,
-            decay=hint,
-            rtol=1e-9,
-            atol=1e-11,
-        )
-
-    def outer(y):
-        # the scalar inner quadrature, mapped over the outer nodes
-        return np.exp(-phi0 * y) * np.array([tail_weight(v) for v in y])
-
-    via = _jump_quadrature(m.jumps, outer, phi0)
+    via = _jump_quadrature(m.jumps, lambda u: m.jumps.density(u) * kernel(u), phi0)
     return direct.value, via
 
 

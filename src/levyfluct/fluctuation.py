@@ -174,9 +174,13 @@ def kernel_K(engine, beta, x, f, deadline=None):
     W^(beta)(x - y)) int_(-inf,-y) Pi(dz) f(y, y + z) for bounded f of
     (level before the jump, level after the jump).  The inner integral
     is one-dimensional after the substitution z = -y - s, so the whole
-    kernel costs one nested quadrature.  The scale factor in front is
-    nonnegative by the two-sided exit identity; it is checked pointwise
-    and a genuine violation raises.
+    kernel costs one nested quadrature, the inner one once per outer
+    node.  The scale factor in front is nonnegative by the two-sided exit
+    identity; it is checked pointwise and a genuine violation raises.
+
+    f is called as f(y, w) on two 1-D numpy arrays of the same size, the
+    levels before and after the jump, and returns their values or a
+    constant that broadcasts against them.
 
     ``deadline`` (seconds) cooperatively cancels a long evaluation.
     """
@@ -193,8 +197,10 @@ def kernel_K(engine, beta, x, f, deadline=None):
     stop = None if deadline is None else time.monotonic() + float(deadline)
 
     def tail_f(y):
+        if stop is not None and time.monotonic() > stop:
+            raise QuadratureFailure("kernel quadrature hit its cooperative deadline")
         return integrate_semiinfinite(
-            lambda s: float(m.jumps.density(y + s)) * f(y, -s),
+            lambda s: m.jumps.density(y + s) * f(np.full(s.shape, y), -s),
             a=0.0,
             decay=hint,
             rtol=1e-9,
@@ -202,17 +208,17 @@ def kernel_K(engine, beta, x, f, deadline=None):
         )
 
     def scale_factor(y):
-        val = math.exp(-phib * y) * wx - engine.w(beta, x - y)
-        if val < -1e-9 * (1.0 + wx):
+        val = np.exp(-phib * y) * wx - engine.w(beta, x - y)
+        low = val < -1e-9 * (1.0 + wx)
+        if low.any():
+            i = np.flatnonzero(low)[0]
             raise QuadratureFailure(
-                f"exit-identity factor came out negative ({val:.3e}) at y={y}"
+                f"exit-identity factor came out negative ({val[i]:.3e}) at y={y[i]}"
             )
-        return max(val, 0.0)
+        return np.maximum(val, 0.0)
 
     def outer(y):
-        if stop is not None and time.monotonic() > stop:
-            raise QuadratureFailure("kernel quadrature hit its cooperative deadline")
-        return scale_factor(y) * tail_f(y)
+        return scale_factor(y) * np.array([tail_f(v) for v in y])
 
     # head on [0, x] with y = t*t flattening the integrable jump-tail
     # singularity at 0; beyond x only the exponential term survives

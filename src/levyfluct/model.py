@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._quadrature import integrate_semiinfinite
+from ._quadrature import _jump_quadrature
 from .errors import (
     BadParameterError,
     BoundedVariationError,
@@ -551,21 +551,18 @@ class LevyModel:
     def ladder_tail(self, x):
         """Tail of the descending ladder height measure,
 
-        exp(phi0*x) * integral_x^inf exp(-phi0*z) pi_tail(z) dz.
+        exp(phi0*x) * integral_x^inf exp(-phi0*z) pi_tail(z) dz,
+
+        taken as the integral of exp(-phi0*u) * pi_tail(x + u) over u > 0.
         """
         if x <= 0.0:
             raise BadParameterError("ladder_tail: x must be > 0")
         if isinstance(self.jumps, NoJumps):
             return 0.0
         phi0 = self.phi(0.0)
-        decay = phi0 + _tail_decay_hint(self.jumps)
-        val = integrate_semiinfinite(
-            lambda z: math.exp(-phi0 * (z - x)) * float(self.jumps.tail(z)),
-            a=x,
-            decay=decay,
-            rtol=1e-11,
-        )
-        return val
+        tail = self.jumps.tail
+        return _jump_quadrature(self.jumps, lambda u: np.exp(-phi0 * u) * tail(x + u), phi0,
+                                rtol=1e-11, atol=1e-13)
 
     # -- regime -------------------------------------------------------------
 

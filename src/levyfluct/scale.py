@@ -16,9 +16,8 @@ closed form (``auto``, where the family has one)
 
 ``contour`` (``auto`` for every other model)
     Numerical inversion of the transform on a deformed Bromwich contour
-    shifted right of phi(q).  Default is the fixed-Talbot rule with 32
-    nodes; a damped Fourier-series rule with Euler acceleration is kept
-    as an independent cross-check.  The shift above phi(q) is tapered
+    shifted right of phi(q): the fixed-Talbot rule with 32 nodes, checked
+    against the rule with 24 nodes.  The shift above phi(q) is tapered
     like 2/x for x > 2: the inversion multiplies by exp(c*x) at the end,
     so any roundoff on the contour is amplified by that factor and a
     constant shift would lose six digits by x = 10.  The shift, like
@@ -84,7 +83,12 @@ from .model import ExpJumps, NoJumps, StableJumps
 
 _METHODS = ("auto", "contour")
 _TINY = np.finfo(float).tiny
-_INVERSIONS = ("talbot", "bromwich")
+# Talbot node count M of the contour route; 32 keeps the rule comfortably
+# inside double precision (larger M amplifies roundoff through the
+# exp(c*x) factor faster than it reduces truncation error)
+_TALBOT_M = 32
+# largest relative gap between the M- and 3M/4-node rules at a point
+_TARGET = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,29 +97,13 @@ class ScaleConfig:
 
     ``method="auto"`` takes the closed form where the model has one and
     the contour route otherwise; ``"contour"`` forces the contour route.
-
-    ``nodes`` is the Talbot node count M; 32 keeps the rule comfortably
-    inside double precision (larger M amplifies roundoff through the
-    exp(c*x) factor faster than it reduces truncation error).  Points
-    share anchored contours, one per cell of 16 to the octave.
     """
 
     method: str = "auto"
-    inversion: str = "talbot"
-    nodes: int = 32
-    target: float = 1e-8
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise BadConfigError(f"method: expected one of {_METHODS}, got {self.method!r}")
-        if self.inversion not in _INVERSIONS:
-            raise BadConfigError(
-                f"inversion: expected one of {_INVERSIONS}, got {self.inversion!r}"
-            )
-        if not isinstance(self.nodes, int) or not 16 <= self.nodes <= 2048:
-            raise BadConfigError(f"nodes: expected an integer in [16, 2048], got {self.nodes!r}")
-        if not (0.0 < self.target <= 1e-3):
-            raise BadConfigError(f"target: expected a value in (0, 1e-3], got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -298,26 +286,6 @@ def _talbot_once(transform, x, cells, M, base):
         body = (np.exp(sk[rows] * xb[:, None]) * vals[rows, 1:]).real.sum(axis=1)
         out[i : i + step] = np.exp(c[rows] * xb) * (r[rows] / M) * (head + body)
     return out
-
-
-def _bromwich_once(transform, x, shift, m=11, n=28, A=18.4):
-    # damped trapezoid rule with Euler (binomial) acceleration of the tail,
-    # at the points of the 1-D array x, each with its shift, in one call
-    xb = x[:, None]
-    c = shift[:, None]
-    a0 = A / (2.0 * xb)
-    ks = np.arange(0, n + m + 1, dtype=float)
-    s = a0 + 1j * ks * np.pi / xb
-    vals = transform(s + c)
-    # exp(s*x) = exp(A/2) * (-1)^k supplies both the damping prefactor and
-    # the alternating sign of the series
-    terms = np.real(np.exp(s * xb) * vals)
-    head = 0.5 * terms[:, :1]
-    partial = head + np.cumsum(terms[:, 1:], axis=1)
-    tail = partial[:, n - 1 : n + m]
-    weights = special.binom(m, np.arange(0, m + 1))
-    accel = np.sum(weights * tail, axis=1) / 2.0**m
-    return np.exp(c[:, 0] * x) * accel / x
 
 
 def _points(x):
@@ -520,10 +488,9 @@ class ScaleEngine:
                 return p / (s * (p - q)) - lead_coeff / (s - phi)
 
         # a base-0 contour hits its roundoff floor near M = 24 in double
-        # precision; more nodes only amplify rounding, so cap there and
+        # precision; more nodes only amplify rounding, so stop there and
         # cross-check against a shorter rule on an absolute scale
-        n1 = min(self.config.nodes, 24)
-        n2 = max(12, (3 * n1) // 4)
+        n1, n2 = 24, 18
         xs = np.atleast_1d(x)
         cells = _cells(xs)
         v1 = _talbot_once(transform, xs, cells, n1, 0.0)
@@ -649,25 +616,20 @@ class ScaleEngine:
                 f"exp(shift*x) overflows double precision at q={q}, x={at}; "
                 "the contour route cannot reach this far into the tail"
             )
-        if self.config.inversion == "talbot":
-            M = self.config.nodes
-            v1 = _talbot_once(transform, xs, cells, M, base)
-            v2 = _talbot_once(transform, xs, cells, max(16, (3 * M) // 4), base)
-        else:
-            v1 = _bromwich_once(transform, xs, shift)
-            v2 = _bromwich_once(transform, xs, shift, m=11, n=24)
+        v1 = _talbot_once(transform, xs, cells, _TALBOT_M, base)
+        v2 = _talbot_once(transform, xs, cells, (3 * _TALBOT_M) // 4, base)
         if kind == "z":
             v1 = 1.0 + q * v1
             v2 = 1.0 + q * v2
         # a non-finite v1 passes here and is caught by _evaluate
         size = np.abs(v1)
         est = np.abs(v1 - v2) / np.maximum(size, 1e-300)
-        bad = (est > self.config.target) & (size > 1e-250)
+        bad = (est > _TARGET) & (size > 1e-250)
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise InversionFailure(
                 f"contour inversion self-estimate {est[i]:.2e} exceeds target "
-                f"{self.config.target:.2e} at q={q}, x={xs[i]}"
+                f"{_TARGET:.2e} at q={q}, x={xs[i]}"
             )
         return ScaleValue(v1.reshape(np.shape(x)), "contour", est.reshape(np.shape(x)))
 

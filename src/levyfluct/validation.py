@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import excursion, fluctuation, montecarlo
+from ._quadrature import _jump_quadrature
 from .model import NoJumps, Regime, model_to_dict
 from .scale import (
     ScaleConfig,
@@ -147,7 +148,7 @@ def _ladder_lk(model, lam):
             w = -lam * np.expm1(-gap * z) / gap
         return w * np.exp(-min(lam, phi0) * z) * jumps.tail(z)
 
-    tail = excursion._jump_quadrature(jumps, kern, min(lam, phi0), rtol=1e-9, atol=1e-12)
+    tail = _jump_quadrature(jumps, kern, min(lam, phi0), rtol=1e-9, atol=1e-12)
     return base + tail
 
 

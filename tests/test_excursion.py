@@ -191,6 +191,12 @@ def test_occupation_identity_cross_check(engine_b):
     assert via == pytest.approx(direct, rel=1e-6)
 
 
+def test_occupation_identity_tempered(engine_tempered):
+    # the jump density's u**(-1 - alpha) endpoint under the graded map
+    direct, via = occupation_overshoot_identity(engine_tempered)
+    assert via == pytest.approx(direct, rel=1e-9)
+
+
 def test_occupation_identity_rejects_infinite_mass(engine_stable):
     with pytest.raises(BadParameterError):
         occupation_overshoot_identity(engine_stable)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from levyfluct import (
@@ -150,6 +151,26 @@ def test_kernel_bounded_by_passage(engine_b):
         assert 0.0 < k <= passage_below_laplace(engine_b, 2.5, x) + 1e-12
 
 
+def test_kernel_is_passage_less_creeping(engine_b):
+    # compensation formula: K_beta 1(x) is the passage transform less its
+    # creeping part (sigma2/2)(W'^(beta)(x) - phi(beta) W^(beta)(x))
+    m = engine_b.model
+    beta = 2.5
+    for x in (0.5, 1.0, 2.0):
+        creep = 0.5 * m.sigma2 * (engine_b.w_prime(beta, x) - m.phi(beta) * engine_b.w(beta, x))
+        expected = passage_below_laplace(engine_b, beta, x) - creep
+        assert kernel_K(engine_b, beta, x, lambda y, z: 1.0) == pytest.approx(expected, rel=1e-8)
+
+
+def test_kernel_passes_arrays_to_f(engine_b):
+    def f(y, z):
+        assert isinstance(y, np.ndarray) and y.shape == z.shape
+        return np.ones_like(z)
+
+    assert kernel_K(engine_b, 2.5, 1.0, f) == pytest.approx(
+        kernel_K(engine_b, 2.5, 1.0, lambda y, z: 1.0), rel=1e-14)
+
+
 def test_kernel_deadline_cancels(engine_b):
     with pytest.raises(QuadratureFailure, match="deadline"):
         kernel_K(engine_b, 2.5, 1.0, lambda y, z: 1.0, deadline=0.0)
@@ -169,12 +190,13 @@ def test_conditioned_resolvent_positive_and_vanishing(engine_bm0):
 
 def test_conditioned_resolvent_mass_bound(engine_bm0):
     beta, lam, x = 1.0, 1.0, 1.0
+    # the density takes one point; the quadrature passes arrays
+    density = np.vectorize(
+        lambda y: conditioned_resolvent_density(engine_bm0, beta, lam, x, y))
     mass = integrate_finite(
-        lambda y: conditioned_resolvent_density(engine_bm0, beta, lam, x, y),
-        -30.0, -1e-9, rtol=1e-7, atol=1e-9,
+        density, -30.0, -1e-9, rtol=1e-7, atol=1e-9,
     ) + integrate_finite(
-        lambda y: conditioned_resolvent_density(engine_bm0, beta, lam, x, y),
-        1e-9, 30.0, rtol=1e-7, atol=1e-9,
+        density, 1e-9, 30.0, rtol=1e-7, atol=1e-9,
     )
     assert mass <= 1.0 / lam + 1e-6
 

@@ -204,6 +204,15 @@ def test_ladder_tail_model_b():
     assert m.ladder_tail(1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_ladder_tail_stable_closed_form(gamma):
+    # with psi'(0+) >= 0, phi(0) = 0 and the tail is the integral of
+    # pitail(z) over z > x: scale * x**(1 - alpha) / Gamma(2 - alpha)
+    m = LevyModel(gamma=gamma, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=0.7))
+    for x in (0.1, 1.0, 5.0):
+        assert m.ladder_tail(x) == pytest.approx(0.7 * x**-0.5 / math.gamma(0.5), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------

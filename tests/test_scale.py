@@ -28,12 +28,6 @@ from conftest import bm, model_b, stable_sn, tempered_mixed
 def test_config_rejects_unknown_method():
     with pytest.raises(BadConfigError):
         ScaleConfig(method="magic")
-    with pytest.raises(BadConfigError):
-        ScaleConfig(inversion="stehfest")
-    with pytest.raises(BadConfigError):
-        ScaleConfig(nodes=0)
-    with pytest.raises(BadConfigError):
-        ScaleConfig(target=-1e-8)
 
 
 def test_closed_form_routing():
@@ -126,12 +120,6 @@ def test_contour_agrees_with_closed_form():
                 a = closed.w(q, x)
                 b = contour.w(q, x)
                 assert b == pytest.approx(a, rel=1e-6, abs=1e-12)
-
-
-def test_bromwich_alternative(engine_b):
-    alt = make_engine(model_b(), ScaleConfig(method="contour", inversion="bromwich"))
-    for x in (0.5, 2.0):
-        assert alt.w(2.5, x) == pytest.approx(engine_b.w(2.5, x), rel=1e-6)
 
 
 def test_series_oracle(engine_bm0, engine_b):
