@@ -25,7 +25,7 @@ from .errors import (
     LevyFluctError,
     ModelFormatError,
 )
-from .model import parse_model
+from .model import _as_number, parse_model
 from .scale import make_engine
 from .validation import TOLERANCES, run_validation
 
@@ -211,33 +211,59 @@ _MODE_NAMES = {
 }
 
 
+# the fields of an MC config file: numbers, integers, or a mode name
+_CONFIG_FIELDS = {
+    "dt": float, "horizon": float, "smallJumpCutoff": float,
+    "paths": int, "seed": int, "smallJumpMode": str,
+}
+
+
+def _config_fields(data):
+    # check each field of a config file as model_from_dict checks a model
+    if not isinstance(data, dict):
+        raise ModelFormatError("config: expected a JSON object")
+    extra = set(data) - set(_CONFIG_FIELDS)
+    if extra:
+        raise ModelFormatError(f"config: unknown field(s) {sorted(extra)}")
+    out = {}
+    for name, value in data.items():
+        kind = _CONFIG_FIELDS[name]
+        if kind is float:
+            value = _as_number(value, f"config {name}")
+        elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ModelFormatError(f"config {name}: expected an integer, got {value!r}")
+        elif kind is str and not (isinstance(value, str) and value in _MODE_NAMES):
+            raise ModelFormatError(
+                f"config {name}: expected DriftOnly or GaussianCompensation, got {value!r}"
+            )
+        out[name] = value
+    return out
+
+
 def _mc_config(args):
     base = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
+                base = _config_fields(json.load(fh))
         except OSError as exc:
             raise ModelFormatError(f"config file {args.config}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"config JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
             )
-        if not isinstance(base, dict):
-            raise ModelFormatError("config: expected a JSON object")
-    mode = base.get("smallJumpMode", "gaussian-compensation")
-    if mode not in _MODE_NAMES:
-        raise ModelFormatError(
-            f"config smallJumpMode: expected DriftOnly or GaussianCompensation, got {mode!r}"
-        )
-    horizon = args.horizon if args.horizon is not None else base.get("horizon")
+
+    def pick(flag, name, default):
+        # a flag wins over the file
+        return flag if flag is not None else base.get(name, default)
+
     return montecarlo.MCConfig(
-        dt=args.dt if args.dt is not None else float(base.get("dt", 1e-3)),
-        paths=args.paths if args.paths is not None else int(base.get("paths", 10000)),
-        horizon=horizon,
-        seed=args.seed if args.seed is not None else int(base.get("seed", 0)),
+        dt=pick(args.dt, "dt", 1e-3),
+        paths=pick(args.paths, "paths", 10000),
+        horizon=pick(args.horizon, "horizon", None),
+        seed=pick(args.seed, "seed", 0),
         small_jump_cutoff=base.get("smallJumpCutoff"),
-        small_jump_mode=_MODE_NAMES[mode],
+        small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
     )
 
 

@@ -68,7 +68,11 @@ class QuadratureFailure(ConvergenceFailure):
 
 
 class SeriesDivergence(ConvergenceFailure):
-    """A series evaluation was requested outside its domain of validity."""
+    """A series evaluation was requested outside its domain of validity.
+
+    The package no longer raises it: the scale oracle it guarded holds on
+    every domain.  It stays a public name for callers that catch it.
+    """
 
 
 class DegenerateDenominator(LevyFluctError, ZeroDivisionError):

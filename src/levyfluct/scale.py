@@ -24,10 +24,10 @@ closed form (``auto``, where the family has one)
     Talbot's r, is set at the point's anchor, the centre of its cell
     among 16 geometric cells per octave (``_cells``).
 
-The convolution series sum_k q^k W^{*(k+1)}(x) is not a route but an
-independent oracle, ``w_series_check``: it runs on a trapezoid grid,
-restricted to q*x*W(x) < 1 where a geometric domination bound makes
-truncation transparent.
+The resolvent identity W^(q)(x) - W(x) = q * integral_0^x W(x-y) W^(q)(y) dy,
+with W = W^(0), is not a route but an oracle on how W^(q) depends on q,
+``w_series_check``: it is the convolution series sum_k q^k W^{*(k+1)}(x)
+summed in closed form, so it holds at every x > 0 with no grid.
 
 The leading-term split (``w_minus_leading``, ``z_minus_leading``)
 removes the dominant exponential, the residue of the transform at its
@@ -71,12 +71,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._quadrature import integrate_graded
+from ._quadrature import integrate_finite, integrate_graded
 from .errors import (
     BadConfigError,
     BadParameterError,
     InversionFailure,
-    SeriesDivergence,
     WrongRegimeError,
 )
 from .model import ExpJumps, NoJumps, StableJumps
@@ -118,7 +117,6 @@ class SeriesCheck:
     value: float
     reference: float
     rel_gap: float
-    n_terms: int
 
 
 @dataclass(frozen=True)
@@ -679,59 +677,53 @@ def make_engine(model, config=None):
     return ScaleEngine(model, config)
 
 
-def w_series_check(engine, q, x, n_grid=512):
-    """Evaluate W^(q)(x) through the convolution series of W = W^(0).
+def w_series_check(engine, q, x):
+    """Evaluate W^(q)(x) through the resolvent identity of W = W^(0).
 
-    Returns the series value, the engine's own value for reference, the
-    relative gap and the number of series terms used.  Valid on the
-    domain q*x*W(x) < 1, where the terms are dominated by a geometric
-    sequence; outside it SeriesDivergence is raised.
+    W^(q)(x) = W(x) + q * integral_0^x W(x-y) W^(q)(y) dy holds for every
+    q >= 0 and x > 0: it is the convolution series sum_k q^k W^{*(k+1)}(x)
+    summed in closed form.  The integral is folded at x/2, so that both
+    orders of the product share one integrand, and takes the graded map
+    y = (x/2) s**k of ``_grade``; each rule round makes one array
+    call of W and one of W^(q).  Returns the identity's value, the
+    engine's own value for reference and their relative gap.
     """
     q, x, _ = ScaleEngine._check_args(q, float(x))
     if x <= 0.0:
         raise BadParameterError("series check needs x > 0")
-    evaluate = engine._closed if engine.closed_kind else engine._contour
-    grid = np.linspace(0.0, x, n_grid + 1)
-    h = x / n_grid
-    w0 = np.empty(n_grid + 1)
-    w0[0] = 0.0
-    w0[1:] = evaluate(0.0, grid[1:], "w").value
-    wx = w0[-1]
-    if q * x * wx >= 1.0:
-        raise SeriesDivergence(
-            f"series domination bound fails: q*x*W(x) = {q * x * wx:.3f} >= 1"
-        )
-    # trapezoid convolution; the endpoint corrections vanish since W(0) = 0
-    conv = w0.copy()
-    total = wx
-    qpow = 1.0
-    n_terms = 1
-    for _ in range(200):
-        conv = np.convolve(conv, w0)[: n_grid + 1] * h
-        qpow *= q
-        term = qpow * conv[-1]
-        total += term
-        n_terms += 1
-        if abs(term) <= 1e-13 * abs(total):
-            break
-    reference = float(evaluate(q, x, "w").value)
+    half = 0.5 * x
+    grade = _grade(engine.model)
+
+    def folded(s):
+        y = half * s**grade
+        nodes = np.concatenate([y, x - y])
+        w0, wq = engine.w(0.0, nodes), engine.w(q, nodes)
+        n = s.size
+        return (w0[n:] * wq[:n] + wq[n:] * w0[:n]) * (grade * y / s)
+
+    total = engine.w(0.0, x) + q * integrate_finite(folded, 0.0, 1.0, rtol=1e-9, atol=1e-13)
+    reference = engine.w(q, x)
     rel = (total - reference) / reference if reference != 0.0 else math.inf
-    return SeriesCheck(value=total, reference=reference, rel_gap=rel, n_terms=n_terms)
+    return SeriesCheck(value=total, reference=reference, rel_gap=rel)
+
+
+def _grade(model):
+    # W is not analytic at 0 (a series in y**(alpha-1) without a Gaussian
+    # part), which bisection resolves only slowly, so quadratures over W
+    # take the graded map y = y* s**k near 0: k >= 3 keeps y**(alpha-1) dy
+    # twice differentiable in s, and at sigma2 = 0, k = 1/(alpha-1) makes
+    # each term of the series a power of s
+    if model.sigma2 == 0.0:
+        return max(3.0, 1.0 / (model.jumps.alpha - 1.0))
+    return 3.0
 
 
 def _integrate_on_w(model, f, decay, *, rtol, atol=1e-13):
     # integral over (0, inf) of an array integrand built on W that decays
-    # like exp(-decay*y) (decay = 0: no known rate).  W is not analytic at
-    # 0 (a series in y**(alpha-1) without a Gaussian part), which
-    # bisection resolves only slowly, so the head up to y* = 5/max(decay, 1)
-    # takes the graded map y = y* s**k: k >= 3 keeps y**(alpha-1) dy twice
-    # differentiable in s, and at sigma2 = 0, k = 1/(alpha-1) makes each
-    # term of the series a power of s
-    grade = 3.0
-    if model.sigma2 == 0.0:
-        grade = max(grade, 1.0 / (model.jumps.alpha - 1.0))
-    return integrate_graded(f, 5.0 / max(decay, 1.0), grade, decay=decay, rtol=rtol,
-                            atol=atol)
+    # like exp(-decay*y) (decay = 0: no known rate); the head up to
+    # y* = 5/max(decay, 1) takes the graded map of _grade
+    return integrate_graded(f, 5.0 / max(decay, 1.0), _grade(model), decay=decay,
+                            rtol=rtol, atol=atol)
 
 
 def laplace_roundtrip(engine, q, lam):

@@ -265,7 +265,7 @@ def _scale_checks(engine, tol):
 
     sc = w_series_check(engine, 0.5, 0.5)
     out.append(_check("scale.series_agreement", abs(sc.rel_gap),
-                      f"convolution series vs engine, {sc.n_terms} terms", tol))
+                      "resolvent identity W^(q) - W = q W*W^(q) vs engine", tol))
     return out
 
 

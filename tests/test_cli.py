@@ -201,6 +201,26 @@ def test_simulate_flag_overrides_config(model_files, tmp_path, capsys):
     assert json.loads(out)["results"][0]["paths"] == 1000
 
 
+@pytest.mark.parametrize("fields, name", [
+    ('{"smallJumpCutoff": "0.1"}', "smallJumpCutoff"),
+    ('{"horizon": "long"}', "horizon"),
+    ('{"dt": null}', "dt"),
+    ('{"paths": "many"}', "paths"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"smallJumpMode": ["DriftOnly"]}', "smallJumpMode"),
+    ('{"dtt": 1e-3}', "dtt"),
+])
+def test_simulate_rejects_malformed_config_field(model_files, tmp_path, capsys, fields, name):
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(fields)
+    code, _, err = run_cli(capsys, "simulate", "--model", model_files["bm"],
+                           "--estimator", "upcross", "--xs", "1", "--qs", "2",
+                           "--config", str(cfg), "--paths", "100", "--dt", "1e-2",
+                           "--seed", "1", "--horizon", "6", "--deterministic")
+    assert code == 2
+    assert name in err
+
+
 def test_simulate_without_horizon_on_zero_mean_fails_cleanly(model_files, capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", model_files["bm"],
                            "--estimator", "passage", "--xs", "1", "--qs", "2",
