@@ -20,6 +20,7 @@ import time
 
 from . import excursion, fluctuation, montecarlo
 from .errors import (
+    BadConfigError,
     BadParameterError,
     BoundedVariationError,
     LevyFluctError,
@@ -257,14 +258,18 @@ def _mc_config(args):
         # a flag wins over the file
         return flag if flag is not None else base.get(name, default)
 
-    return montecarlo.MCConfig(
-        dt=pick(args.dt, "dt", 1e-3),
-        paths=pick(args.paths, "paths", 10000),
-        horizon=pick(args.horizon, "horizon", None),
-        seed=pick(args.seed, "seed", 0),
-        small_jump_cutoff=base.get("smallJumpCutoff"),
-        small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
-    )
+    try:
+        return montecarlo.MCConfig(
+            dt=pick(args.dt, "dt", 1e-3),
+            paths=pick(args.paths, "paths", 10000),
+            horizon=pick(args.horizon, "horizon", None),
+            seed=pick(args.seed, "seed", 0),
+            small_jump_cutoff=base.get("smallJumpCutoff"),
+            small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
+        )
+    except BadConfigError as exc:
+        # an out-of-range setting is a bad config, as in _load_model
+        raise ModelFormatError(str(exc)) from exc
 
 
 def cmd_simulate(args):

@@ -9,7 +9,8 @@ probability and given its exact time by an inverse Gaussian draw
 (Metwally & Atiya 2002); a jump crossing happens at its epoch.  The
 estimators therefore carry no time-discretisation bias; ``dt`` only sets
 the automatic small-jump cutoff of infinite-activity families, and the
-step of ``simulate_path``, which records a whole path on a regular grid.
+step of the grid on which ``simulate_path`` records a path whose first
+passage below a watched level follows the same exact rule.
 
 Survival and creeping close the paths still above 0 at the horizon T with
 the analytic value S(X_T) or C(X_T); by the strong Markov property the
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     BadConfigError,
@@ -80,6 +80,7 @@ _CLOSURE_HORIZON = 5.0
 # path on the way; the bridge exponents below this floor skip it, which
 # leaves the set of nonzero crossing probabilities unchanged
 _EXP_FLOOR = -746.0
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +98,13 @@ class MCConfig:
     oscillating models must be given one explicitly.  The Laplace
     estimators stop each path at min(horizon, (5 + E)/rate), with E ~
     Exp(1) its exponential killing clock, which keeps them exact.  dt is
-    the step of ``simulate_path``; the estimators are exact in time and
-    use dt only through the automatic small-jump cutoff.
+    the step of the grid ``simulate_path`` records its values on; the
+    estimators and the passages of ``simulate_path`` are exact in time
+    and use dt only through the automatic small-jump cutoff.
     small_jump_cutoff None triggers that rule: normal-approximation
     skewness below 1e-2 where the Gaussian part allows it, and a tail
-    rate of jumps above the cutoff at most 0.1/dt.
+    rate of jumps above the cutoff at most 0.1/dt, each found by
+    bisection on log(cutoff) in [1e-12, 1e3].
     """
 
     dt: float
@@ -136,6 +139,10 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class StoppingInfo:
+    """Exact first passage below ``level``, its time not rounded to the
+    grid: a jump crossing has crossed_by_jump True and overshoot (the
+    distance below the level just after it) > 0, a continuous one 0.0."""
+
     level: float
     time: float
     overshoot: float
@@ -144,13 +151,13 @@ class StoppingInfo:
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated path on the regular grid.
+    """One simulated path, its values read on the regular grid.
 
     values[i+1] - values[i] is the Gaussian increment of step i plus the
-    sizes of any jumps whose clock fired inside that step; jump_indices
-    holds the i+1 of each jump's step, jump_sizes the (negative) sizes.
-    stopping is the first-passage record when a level was watched, else
-    None.
+    sizes of any jumps whose epoch fell inside that step; jump_indices
+    holds the i+1 of each jump's step, jump_sizes the (negative) sizes,
+    in time order.  stopping is the exact first-passage record when a
+    level was watched and the path crossed it, else None.
     """
 
     times: np.ndarray
@@ -230,6 +237,22 @@ class _Plan:
         return np.concatenate(out)
 
 
+def _log_bisect(f, lo, hi):
+    # a root of f on [lo, hi], where f changes sign, by bisection on log e
+    # until the bracket is narrower than brentq's tolerance 1e-14 + 4 eps e
+    a, b = math.log(lo), math.log(hi)
+    below = f(lo) < 0.0
+    while True:
+        m = 0.5 * (a + b)
+        e = math.exp(m)
+        if math.exp(b) - math.exp(a) < 1e-14 + 4.0 * _EPS * e or not a < m < b:
+            return e
+        if (f(e) < 0.0) == below:
+            a = m
+        else:
+            b = m
+
+
 def _auto_cutoff(jumps, sigma2, dt):
     # two one-sided constraints: the normal approximation of discarded
     # jumps needs skewness below 1e-2 (cutoff small enough), while the
@@ -243,9 +266,7 @@ def _auto_cutoff(jumps, sigma2, dt):
             f"rate of 0.1/dt = {0.1 / dt:g}: the tail rate is {rate_lo:.3g} "
             f"at {lo:g} and {rate_hi:.3g} at {hi:g}; set small_jump_cutoff"
         )
-    eps_rate = optimize.brentq(
-        lambda e: float(jumps.tail(e)) * dt - 0.1, lo, hi, xtol=1e-14
-    )
+    eps_rate = _log_bisect(lambda e: float(jumps.tail(e)) * dt - 0.1, lo, hi)
     if sigma2 > 0.0:
         budget = 0.0464 / (1.0 - 0.0464) * sigma2
         if float(jumps.truncated_variance(hi)) <= budget:
@@ -253,11 +274,8 @@ def _auto_cutoff(jumps, sigma2, dt):
         elif float(jumps.truncated_variance(lo)) >= budget:
             eps_skew = lo
         else:
-            eps_skew = optimize.brentq(
-                lambda e: float(jumps.truncated_variance(e)) - budget,
-                lo,
-                hi,
-                xtol=1e-14,
+            eps_skew = _log_bisect(
+                lambda e: float(jumps.truncated_variance(e)) - budget, lo, hi
             )
         return max(eps_rate, min(eps_skew, 1.0))
     return eps_rate
@@ -319,17 +337,33 @@ def _blocks(config):
 
 
 # ---------------------------------------------------------------------------
-# single-path simulation (full grid, bitwise deterministic per stream)
+# single-path simulation on one event grid (bitwise deterministic per stream)
 # ---------------------------------------------------------------------------
 
 
-def simulate_path(model, config, stream_index, level=None):
-    """Simulate one path from 0 on the full grid.
+def _crossing_fraction(rng, a, b, d, sig2):
+    # where in a span of length d a path that crosses 0 on it does so
+    # first, as a fraction of d: the span starts at a > 0 and its Gaussian
+    # part ends at b.  given the crossing, the time is d*Y/(1+Y) with Y ~
+    # IG(a/|b|, a^2/(sigma^2 d)) (Metwally & Atiya 2002); with sigma = 0
+    # the path is linear
+    if sig2 > 0.0:
+        y = rng.wald(a / np.abs(b), a * a / (sig2 * d))
+        return y / (1.0 + y)
+    return a / (a - b)
 
-    Deterministic given (config.seed, stream_index).  When ``level`` is
-    given (a value below 0), the first passage below it is recorded with
-    the bridge-probability correction between grid points and the
-    crossing attributed to a jump or to the continuous part.
+
+def simulate_path(model, config, stream_index, level=None):
+    """Simulate one path from 0 on the grid of step ``config.dt``.
+
+    Deterministic given (config.seed, stream_index).  The jump epochs are
+    a Poisson count of sorted uniform times; they and the grid times form
+    one event grid, and each span between events gets one exact Gaussian
+    increment, so the grid values are exact.  When ``level`` is given (a
+    value below 0), the first passage below it is exact as in the
+    estimators' sweeps: between events by the Brownian-bridge crossing
+    probability, timed by an inverse Gaussian draw, and by a jump at its
+    epoch.
     """
 
     if not isinstance(model, LevyModel):
@@ -337,67 +371,71 @@ def simulate_path(model, config, stream_index, level=None):
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
     rng = _philox(config.seed, stream_index)
-    dt = config.dt
-    n = int(round(horizon / dt))
-    times = np.arange(n + 1) * dt
-
-    incr = plan.drift * dt + plan.sigma * math.sqrt(dt) * rng.standard_normal(n)
+    n = int(round(horizon / config.dt))
+    times = np.arange(n + 1) * config.dt
     if plan.rate > 0.0:
-        gaps = rng.exponential(1.0 / plan.rate, size=int(plan.rate * horizon * 1.5) + 32)
-        jump_times = np.cumsum(gaps)
-        while jump_times.size and jump_times[-1] < horizon:
-            more = rng.exponential(1.0 / plan.rate, size=32)
-            jump_times = np.concatenate([jump_times, jump_times[-1] + np.cumsum(more)])
-        jump_times = jump_times[jump_times < horizon]
-        sizes = -plan.sample_jumps(rng, jump_times.size)
-        bins = np.minimum((jump_times / dt).astype(int), n - 1)
-        np.add.at(incr, bins, sizes)
-        jump_indices = bins + 1
+        count = rng.poisson(plan.rate * times[-1])
+        jump_times = np.sort(rng.random(count)) * times[-1]
+        sizes = -plan.sample_jumps(rng, count)
     else:
-        sizes = np.empty(0)
-        jump_indices = np.empty(0, dtype=int)
+        jump_times = sizes = np.empty(0)
 
-    values = np.concatenate([[0.0], np.cumsum(incr)])
+    # the grid times and jump epochs in time order; a stable sort keeps the
+    # jumps, which come last, in their own order
+    epochs = np.concatenate([times[1:], jump_times])
+    order = np.argsort(epochs, kind="stable")
+    epochs = epochs[order]
+    is_jump = order >= n
+    jumps = np.zeros(epochs.size)
+    jumps[is_jump] = sizes
+    span = np.diff(epochs, prepend=0.0)
+    post = plan.drift * span
+    if plan.sigma > 0.0:
+        post += plan.sigma * np.sqrt(span) * rng.standard_normal(epochs.size)
+    post += jumps
+    np.cumsum(post, out=post)
+    pre = post - jumps
 
     stopping = None
     if level is not None:
         level = float(level)
         if level >= 0.0:
             raise BadParameterError("watched level must be below the start 0")
-        d0 = values[:-1] - level
-        d1 = values[1:] - level
-        landed = d1 < 0.0
-        if plan.sigma > 0.0:
-            both = (d0 > 0.0) & (d1 > 0.0)
-            with np.errstate(over="ignore"):
-                p = np.where(both, np.exp(-2.0 * d0 * d1 / (plan.sigma**2 * dt)), 0.0)
-            touched = rng.random(n) < p
-        else:
-            touched = np.zeros(n, dtype=bool)
-        event = landed | touched
+        # no span has a jump inside it: a span from a > 0 crosses when
+        # its Gaussian part ends at b <= 0, or else with the bridge
+        # probability exp(-2ab/(sigma^2 d)); a jump below the level crosses
+        # at its epoch
+        a = np.concatenate([[0.0], post[:-1]]) - level
+        b = pre - level
+        cont = b <= 0.0
+        sig2 = plan.sigma * plan.sigma
+        if sig2 > 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expo = -2.0 * a * b / (sig2 * span)
+            p = np.zeros(epochs.size)
+            np.exp(expo, out=p, where=(a > 0.0) & (b > 0.0) & (expo > _EXP_FLOOR))
+            live = p > 0.0
+            cont[live] |= rng.random(int(live.sum())) < p[live]
+        jump = is_jump & (post < level) & ~cont
+        event = cont | jump
         if event.any():
             i = int(np.argmax(event))
-            has_jump = np.isin(i + 1, jump_indices)
-            if landed[i]:
-                overshoot = float(-d1[i])
-                # attribute to the jump when one fired in the step and the
-                # Gaussian part alone would have stayed above
-                jump_sum = float(sizes[jump_indices == i + 1].sum()) if has_jump else 0.0
-                by_jump = bool(has_jump and d1[i] - jump_sum >= 0.0)
+            if jump[i]:
+                time, overshoot = epochs[i], level - post[i]
             else:
-                overshoot = 0.0
-                by_jump = False
+                frac = _crossing_fraction(rng, a[i], b[i], span[i], sig2)
+                time, overshoot = epochs[i] - span[i] + span[i] * frac, 0.0
             stopping = StoppingInfo(
                 level=level,
-                time=float(times[i + 1]),
-                overshoot=overshoot,
-                crossed_by_jump=by_jump,
+                time=float(time),
+                overshoot=float(overshoot),
+                crossed_by_jump=bool(jump[i]),
             )
 
     return PathSample(
         times=times,
-        values=values,
-        jump_indices=jump_indices,
+        values=np.concatenate([[0.0], post[~is_jump]]),
+        jump_indices=np.searchsorted(times, jump_times, side="right"),
         jump_sizes=sizes,
         stopping=stopping,
     )
@@ -426,9 +464,7 @@ def _sweep_block(plan, rng, m, start, horizon):
     only simulated at its jump epochs and at its horizon.  Over an
     interval of length d from a > 0 the Gaussian part ends at b; the
     bridge in between crosses 0 with probability exp(-2ab/(sigma^2 d)),
-    and surely when b <= 0.  Given a crossing, its time after the start of
-    the interval is d*Y/(1+Y) with Y ~ IG(a/|b|, a^2/(sigma^2 d)) (Metwally
-    & Atiya 2002); with sigma = 0 the path is linear between epochs.  A
+    and surely when b <= 0; ``_crossing_fraction`` times the crossing.  A
     jump that lands below 0 crosses at its epoch.
 
     Each round draws enough epochs to take a path with the mean remaining
@@ -538,11 +574,7 @@ def _sweep_block(plan, rng, m, start, horizon):
                 a = np.where(c_row > 0, post[c_row - 1, c_col], x0[c_col])
                 b = pre[c_row, c_col]
                 d = span[c_row, c_col]
-                if sig2 > 0.0:
-                    y = rng.wald(a / np.abs(b), a * a / (sig2 * d))
-                    frac = y / (1.0 + y)
-                else:
-                    frac = a / (a - b)
+                frac = _crossing_fraction(rng, a, b, d, sig2)
                 tau[ids[~by]] = epochs[c_row, c_col] - d + d * frac
 
         rest = np.nonzero(~hit)[0]

@@ -221,6 +221,23 @@ def test_simulate_rejects_malformed_config_field(model_files, tmp_path, capsys, 
     assert name in err
 
 
+@pytest.mark.parametrize("flags, fields, name", [
+    (("--paths", "0"), None, "paths"),
+    ((), '{"dt": -1}', "dt"),
+    (("--horizon", "1e-4", "--dt", "1e-3"), None, "horizon"),
+])
+def test_simulate_rejects_out_of_range_setting(model_files, tmp_path, capsys, flags, fields, name):
+    argv = ["simulate", "--model", model_files["bm_up"], "--estimator", "upcross",
+            "--xs", "1", "--qs", "2", *flags]
+    if fields is not None:
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(fields)
+        argv += ["--config", str(cfg)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert name in err
+
+
 def test_simulate_without_horizon_on_zero_mean_fails_cleanly(model_files, capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", model_files["bm"],
                            "--estimator", "passage", "--xs", "1", "--qs", "2",

@@ -124,6 +124,33 @@ def test_path_level_must_be_negative():
         simulate_path(bm(), cfg, 0, level=0.5)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_path_passage_is_exact_on_a_coarse_grid(seed):
+    # BM with drift 0.5 crossing -1: E exp(-tau) = exp(-(mu + sqrt(mu^2 +
+    # 2q))) at q = 1.  dt = 0.5 is coarse, so rounding the crossing up to
+    # the grid would miss the closed form by many standard errors
+    mu, cfg = 0.5, MCConfig(dt=0.5, paths=1, seed=seed)
+    scores = []
+    for stream in range(4000):
+        s = simulate_path(bm(mu), cfg, stream, level=-1.0).stopping
+        scores.append(0.0 if s is None else math.exp(-s.time))
+    scores = np.array(scores)
+    target = math.exp(-(mu + math.sqrt(mu * mu + 2.0)))
+    z = (scores.mean() - target) / (scores.std(ddof=1) / math.sqrt(scores.size))
+    assert abs(z) <= 4.0
+
+
+def test_path_creeps_and_jumps_as_the_model_says():
+    # model_b from 1 down to 0, seen as 0 down to -1: the share of paths
+    # that crossed without a jump is the creeping probability C(1)
+    cfg = MCConfig(dt=0.5, paths=1, seed=4)
+    stops = [simulate_path(model_b(), cfg, k, level=-1.0).stopping for k in range(4000)]
+    crept = sum(s is not None and not s.crossed_by_jump for s in stops) / len(stops)
+    c = float(fluctuation.creeping_probability(make_engine(model_b()), 1.0))
+    assert abs(crept - c) <= 4.0 * math.sqrt(c * (1.0 - c) / len(stops))
+    assert all(s.crossed_by_jump == (s.overshoot > 0.0) for s in stops if s is not None)
+
+
 # ---------------------------------------------------------------------------
 # terminal law
 # ---------------------------------------------------------------------------
@@ -354,6 +381,36 @@ def test_auto_cutoff_unreachable_skewness_keeps_rate_rule():
     m = LevyModel(gamma=1.0, sigma2=0.5, jumps=StableJumps(alpha=1.5, scale=1e8))
     plan = _plan(m, MCConfig(dt=1e-5, paths=10))
     assert plan.rate == pytest.approx(0.1 / 1e-5, rel=1e-9)
+
+
+_CUTOFF_LAWS = [StableJumps(alpha=a, scale=1.0) for a in (1.05, 1.5, 1.95)] + [
+    TemperedStableJumps(alpha=a, scale=s, tempering=t)
+    for a, s, t in ((1.5, 1.0, 1.0), (1.6, 0.8, 1.5), (1.2, 1.0, 0.5), (1.9, 0.5, 2.0))
+]
+
+
+@pytest.mark.parametrize("law", _CUTOFF_LAWS, ids=lambda j: f"{j.family}-{j.alpha}")
+@pytest.mark.parametrize("sigma2", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
+def test_auto_cutoff_matches_brentq(law, sigma2, dt):
+    # the automatic cutoff against brentq on the same two constraints
+    from scipy import optimize
+    from levyfluct.montecarlo import _plan
+
+    lo, hi = 1e-12, 1e3
+    want = optimize.brentq(lambda e: float(law.tail(e)) * dt - 0.1, lo, hi, xtol=1e-14)
+    if sigma2 > 0.0:
+        budget = 0.0464 / (1.0 - 0.0464) * sigma2
+        if float(law.truncated_variance(hi)) <= budget:
+            skew = hi
+        elif float(law.truncated_variance(lo)) >= budget:
+            skew = lo
+        else:
+            skew = optimize.brentq(lambda e: float(law.truncated_variance(e)) - budget,
+                                   lo, hi, xtol=1e-14)
+        want = max(want, min(skew, 1.0))
+    m = LevyModel(gamma=1.0, sigma2=sigma2, jumps=law)
+    assert abs(_plan(m, MCConfig(dt=dt, paths=1)).cutoff - want) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
