@@ -45,9 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._quadrature import _jump_quadrature, integrate_finite
+from ._special import _incomplete_gamma
 from .errors import BadParameterError, DegenerateDenominator
 from .model import NoJumps
 
@@ -422,7 +422,7 @@ def occupation_overshoot_identity(engine):
         # integral_0^u exp(-phi0*(u - s)) g(-s) ds
         if phi0 == 0.0:
             return 0.5 * u * u
-        return special.gammainc(2.0, phi0 * u) / phi0**2
+        return _incomplete_gamma(2.0, phi0 * u)[0] / phi0**2
 
     via = _jump_quadrature(m.jumps, lambda u: m.jumps.density(u) * kernel(u), phi0)
     return direct.value, via

@@ -44,9 +44,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._quadrature import _jump_quadrature
+from ._special import _incomplete_gamma
 from .errors import (
     BadParameterError,
     BoundedVariationError,
@@ -185,9 +185,8 @@ class ExpJumps:
 
     def truncated_variance(self, eps):
         # integral of x^2 Pi(dx) over (-eps, 0)
-        return (2.0 * self.rate / self.jump_rate**2) * special.gammainc(
-            3.0, self.jump_rate * eps
-        )
+        lower, _ = _incomplete_gamma(3.0, self.jump_rate * eps)
+        return self.rate / self.jump_rate**2 * lower
 
     def truncated_mean(self, eps):
         # integral of x Pi(dx) over (-inf, -eps]
@@ -200,7 +199,7 @@ class ExpJumps:
 
 def _stable_front(alpha, scale):
     # density prefactor k in k * exp(tempering*x) * |x|^(-1-alpha)
-    return scale * alpha * (alpha - 1.0) / special.gamma(2.0 - alpha)
+    return scale * alpha * (alpha - 1.0) / math.gamma(2.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -320,12 +319,12 @@ class TemperedStableJumps:
 
     def tail(self, x):
         # integration by parts twice; the last term is the upper incomplete
-        # gamma of positive argument 2 - alpha, which scipy provides
+        # gamma of positive argument 2 - alpha
         x = np.asarray(x, dtype=float)
         a, th = self.alpha, self.tempering
         k = _stable_front(a, self.scale)
         e = np.exp(-th * x)
-        upper = special.gamma(2.0 - a) * special.gammaincc(2.0 - a, th * x)
+        _, upper = _incomplete_gamma(2.0 - a, th * x)
         return k * (
             e * np.power(x, -a) / a
             - th * e * np.power(x, 1.0 - a) / (a * (a - 1.0))
@@ -355,14 +354,13 @@ class TemperedStableJumps:
     def truncated_variance(self, eps):
         a, th = self.alpha, self.tempering
         k = _stable_front(a, self.scale)
-        return k * th ** (a - 2.0) * special.gamma(2.0 - a) * special.gammainc(
-            2.0 - a, th * eps
-        )
+        lower, _ = _incomplete_gamma(2.0 - a, th * eps)
+        return k * th ** (a - 2.0) * lower
 
     def truncated_mean(self, eps):
         a, th = self.alpha, self.tempering
         k = _stable_front(a, self.scale)
-        upper = special.gamma(2.0 - a) * special.gammaincc(2.0 - a, th * eps)
+        _, upper = _incomplete_gamma(2.0 - a, th * eps)
         tail_int = (
             eps ** (1.0 - a) * math.exp(-th * eps) / (a - 1.0)
             - th ** (a - 1.0) * upper / (a - 1.0)

@@ -69,9 +69,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._quadrature import integrate_finite, integrate_graded
+from ._special import _rgamma
 from .errors import (
     BadConfigError,
     BadParameterError,
@@ -155,8 +155,10 @@ _ML_KS = np.arange(0, 320, dtype=float)
 
 @functools.lru_cache(maxsize=64)
 def _ml_log_gammas(a, b):
-    # log Gamma(a*k + b) of the series terms, once per (a, b)
-    out = special.gammaln(a * _ML_KS + b)
+    # log|Gamma(a*k + b)| of the series terms, once per (a, b); +inf at the
+    # poles of Gamma, whose terms vanish
+    out = np.array([math.inf if v <= 0.0 and v == math.floor(v) else math.lgamma(v)
+                    for v in (a * _ML_KS + b).tolist()])
     out.flags.writeable = False
     return out
 
@@ -167,7 +169,7 @@ def _ml_series_sum(a, b, z):
     with np.errstate(under="ignore"):
         sums = np.exp(logs * _ML_KS - _ml_log_gammas(a, b)).sum(axis=1)
     # z = 0 leaves only the k = 0 term
-    sums[z == 0.0] = special.rgamma(b)
+    sums[z == 0.0] = _rgamma(b)
     return sums
 
 
@@ -186,7 +188,7 @@ def _ml_algebraic_tail(a, b, z):
     # its terms in order up to its smallest one.  Terms sitting on a gamma
     # pole are exactly zero and must not be mistaken for the turning point.
     ks = np.arange(1, 64, dtype=float)
-    coeffs = special.rgamma(b - a * ks)
+    coeffs = np.array([_rgamma(v) for v in (b - a * ks).tolist()])
     ks, coeffs = ks[coeffs != 0.0], coeffs[coeffs != 0.0]
     terms = z[:, None] ** -ks * coeffs
     if ks.size < 2:

@@ -42,7 +42,7 @@ TOLERANCES = {
     "scale.derivative_consistency": 1e-4,
     "scale.laplace_roundtrip": 1e-6,
     "scale.oracle_agreement": 1e-6,
-    "scale.series_agreement": 1e-5,
+    "scale.series_agreement": 1e-9,
     "fluct.resolvent_mass": 1e-5,
     "fluct.resolvent_decomposition": 1e-10,
     "fluct.h_boundary_limits": 1e-3,
