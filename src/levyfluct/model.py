@@ -521,8 +521,8 @@ class LevyModel:
     def pi_tail(self, x):
         """Mass of jumps below -x, for x > 0."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr <= 0.0):
-            raise BadParameterError("pi_tail: x must be > 0")
+        if not np.all(np.isfinite(arr) & (arr > 0.0)):
+            raise BadParameterError("pi_tail: x must be finite and > 0")
         return _maybe_scalar(self.jumps.tail(arr), x)
 
     def ladder_exponent(self, lam):
@@ -532,10 +532,10 @@ class LevyModel:
         neighbourhood of it the Taylor expansion
         psi'(phi0) + psi''(phi0)*(lam - phi0)/2 is used instead of the ratio.
         """
-        phi0 = self.phi(0.0)
         arr = np.asarray(lam, dtype=float)
-        if np.any(arr < 0.0):
-            raise BadParameterError("ladder_exponent: lam must be >= 0")
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            raise BadParameterError("ladder_exponent: lam must be finite and >= 0")
+        phi0 = self.phi(0.0)
         gap = arr - phi0
         near = np.abs(gap) <= 1e-9 * (1.0 + phi0)
         with np.errstate(divide="ignore", invalid="ignore"):

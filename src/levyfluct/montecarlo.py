@@ -3,14 +3,16 @@
 After the small-jump truncation every family is a drift plus a Brownian
 motion plus compound Poisson jumps.  The block sweeps behind the
 estimators simulate such a process exactly and only where something
-happens: at its jump epochs and at the horizon.  Between epochs a
-crossing of the barrier is decided by the Brownian-bridge crossing
-probability and given its exact time by an inverse Gaussian draw
-(Metwally & Atiya 2002); a jump crossing happens at its epoch.  The
-estimators therefore carry no time-discretisation bias; ``dt`` only sets
-the automatic small-jump cutoff of infinite-activity families, and the
-step of the grid on which ``simulate_path`` records a path whose first
-passage below a watched level follows the same exact rule.
+happens: at its jump epochs and at the horizon.  One rule,
+``_first_crossing``, decides the crossings of the sweeps and of
+``simulate_path``: between epochs by the Brownian-bridge crossing
+probability, with the exact time from an inverse Gaussian draw (Metwally
+& Atiya 2002), and a jump crossing at its epoch.  The estimators
+therefore carry no time-discretisation bias; ``dt`` only sets the
+automatic small-jump cutoff of infinite-activity families and the step
+of the grid on which ``simulate_path`` records a path.  Every barrier
+estimator is one ``_estimate`` call that folds its own score of each
+swept path.
 
 Survival and creeping close the paths still above 0 at the horizon T with
 the analytic value S(X_T) or C(X_T); by the strong Markov property the
@@ -117,6 +119,10 @@ class MCConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise BadConfigError(f"dt must be finite and > 0, got {self.dt}")
+        for name in ("paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadConfigError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise BadConfigError(f"paths must be >= 1, got {self.paths}")
         if self.horizon is not None:
@@ -337,20 +343,72 @@ def _blocks(config):
 
 
 # ---------------------------------------------------------------------------
-# single-path simulation on one event grid (bitwise deterministic per stream)
+# the exact crossing rule, shared by simulate_path and the block sweep
 # ---------------------------------------------------------------------------
 
 
-def _crossing_fraction(rng, a, b, d, sig2):
-    # where in a span of length d a path that crosses 0 on it does so
-    # first, as a fraction of d: the span starts at a > 0 and its Gaussian
-    # part ends at b.  given the crossing, the time is d*Y/(1+Y) with Y ~
-    # IG(a/|b|, a^2/(sigma^2 d)) (Metwally & Atiya 2002); with sigma = 0
-    # the path is linear
+def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
+    """First crossing below 0 in each column of (epoch, path) arrays.
+
+    Column j starts at x0[j] > 0.  Row i is a span of length span[i, j]
+    ending at epochs[i, j], where the path stands at pre[i, j] before a
+    jump and at post[i, j] after it (is_jump marks the epochs with one);
+    no span has a jump inside it.  A span from a > 0 whose Gaussian part
+    ends at b crosses surely when b <= 0, else with the Brownian-bridge
+    probability exp(-2ab/(sigma^2 d)); given that, it crosses at d*Y/(1+Y)
+    into the span, Y ~ IG(a/|b|, a^2/(sigma^2 d)) (Metwally & Atiya 2002),
+    or at a/(a - b) of it when sigma = 0 and the span is linear.  A jump
+    that lands below 0 crosses at its epoch.  Only a column's first event
+    counts; the uniforms drawn for its later spans leave that law as is.
+
+    Returns (hit, tau, overshoot, by_jump): hit marks the columns that
+    cross, and the other three hold, for those columns in order, the
+    crossing time, the distance below 0 just after it (0 for a continuous
+    crossing) and whether a jump made it.
+    """
+
+    cont = pre <= 0.0
     if sig2 > 0.0:
-        y = rng.wald(a / np.abs(b), a * a / (sig2 * d))
-        return y / (1.0 + y)
-    return a / (a - b)
+        # bridge exponent -2 a b / (sigma^2 d), built in one buffer
+        expo = np.empty(post.shape)
+        expo[0] = x0
+        expo[1:] = post[:-1]
+        expo *= pre
+        expo *= -2.0 / sig2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expo /= span
+        p = np.zeros(post.shape)
+        with np.errstate(over="ignore"):
+            np.exp(expo, out=p, where=expo > _EXP_FLOOR)
+        # where p is 0 no uniform can fall below it
+        live = p > 0.0
+        cont[live] |= rng.random(int(live.sum())) < p[live]
+    jump = is_jump & (post < 0.0) & ~cont
+    event = cont | jump
+    hit = event.any(axis=0)
+
+    cols = np.nonzero(hit)[0]
+    row = np.argmax(event[:, cols], axis=0)
+    by_jump = jump[row, cols]
+    overshoot = np.where(by_jump, -post[row, cols], 0.0)
+    tau = epochs[row, cols]
+    c_row, c_col = row[~by_jump], cols[~by_jump]
+    if c_col.size:
+        a = np.where(c_row > 0, post[c_row - 1, c_col], x0[c_col])
+        b = pre[c_row, c_col]
+        d = span[c_row, c_col]
+        if sig2 > 0.0:
+            y = rng.wald(a / np.abs(b), a * a / (sig2 * d))
+            frac = y / (1.0 + y)
+        else:
+            frac = a / (a - b)
+        tau[~by_jump] = epochs[c_row, c_col] - d + d * frac
+    return hit, tau, overshoot, by_jump
+
+
+# ---------------------------------------------------------------------------
+# single-path simulation on one event grid (bitwise deterministic per stream)
+# ---------------------------------------------------------------------------
 
 
 def simulate_path(model, config, stream_index, level=None):
@@ -360,14 +418,16 @@ def simulate_path(model, config, stream_index, level=None):
     a Poisson count of sorted uniform times; they and the grid times form
     one event grid, and each span between events gets one exact Gaussian
     increment, so the grid values are exact.  When ``level`` is given (a
-    value below 0), the first passage below it is exact as in the
-    estimators' sweeps: between events by the Brownian-bridge crossing
-    probability, timed by an inverse Gaussian draw, and by a jump at its
-    epoch.
+    finite value below 0), the first passage below it is exact: the path,
+    measured as its distance above the level, goes through the estimators'
+    own rule, ``_first_crossing``, as one column.
     """
 
     if not isinstance(model, LevyModel):
         raise BadParameterError("simulate_path needs a LevyModel")
+    level = None if level is None else float(level)
+    if level is not None and not (math.isfinite(level) and level < 0.0):
+        raise BadParameterError(f"watched level must be finite and below 0, got {level}")
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
     rng = _philox(config.seed, stream_index)
@@ -398,39 +458,14 @@ def simulate_path(model, config, stream_index, level=None):
 
     stopping = None
     if level is not None:
-        level = float(level)
-        if level >= 0.0:
-            raise BadParameterError("watched level must be below the start 0")
-        # no span has a jump inside it: a span from a > 0 crosses when
-        # its Gaussian part ends at b <= 0, or else with the bridge
-        # probability exp(-2ab/(sigma^2 d)); a jump below the level crosses
-        # at its epoch
-        a = np.concatenate([[0.0], post[:-1]]) - level
-        b = pre - level
-        cont = b <= 0.0
-        sig2 = plan.sigma * plan.sigma
-        if sig2 > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                expo = -2.0 * a * b / (sig2 * span)
-            p = np.zeros(epochs.size)
-            np.exp(expo, out=p, where=(a > 0.0) & (b > 0.0) & (expo > _EXP_FLOOR))
-            live = p > 0.0
-            cont[live] |= rng.random(int(live.sum())) < p[live]
-        jump = is_jump & (post < level) & ~cont
-        event = cont | jump
-        if event.any():
-            i = int(np.argmax(event))
-            if jump[i]:
-                time, overshoot = epochs[i], level - post[i]
-            else:
-                frac = _crossing_fraction(rng, a[i], b[i], span[i], sig2)
-                time, overshoot = epochs[i] - span[i] + span[i] * frac, 0.0
-            stopping = StoppingInfo(
-                level=level,
-                time=float(time),
-                overshoot=float(overshoot),
-                crossed_by_jump=bool(jump[i]),
-            )
+        hit, tau, overshoot, by_jump = _first_crossing(
+            rng, plan.sigma * plan.sigma, np.array([-level]), (post - level)[:, None],
+            (pre - level)[:, None], epochs[:, None], span[:, None], is_jump[:, None],
+        )
+        if hit[0]:
+            stopping = StoppingInfo(level=level, time=float(tau[0]),
+                                    overshoot=float(overshoot[0]),
+                                    crossed_by_jump=bool(by_jump[0]))
 
     return PathSample(
         times=times,
@@ -461,11 +496,8 @@ def _sweep_block(plan, rng, m, start, horizon):
 
     ``horizon`` is a scalar or one stopping time per path.  Exact for
     drift plus Brownian motion plus compound Poisson jumps: a path is
-    only simulated at its jump epochs and at its horizon.  Over an
-    interval of length d from a > 0 the Gaussian part ends at b; the
-    bridge in between crosses 0 with probability exp(-2ab/(sigma^2 d)),
-    and surely when b <= 0; ``_crossing_fraction`` times the crossing.  A
-    jump that lands below 0 crosses at its epoch.
+    only simulated at its jump epochs and at its horizon, and each round
+    of such spans goes through ``_first_crossing``.
 
     Each round draws enough epochs to take a path with the mean remaining
     time of the live paths to its horizon, and at most ``_ROUND_EVENTS``
@@ -540,42 +572,13 @@ def _sweep_block(plan, rng, m, start, horizon):
         else:
             post += x0
             pre = post
-        cont = pre <= 0.0
-        if sig2 > 0.0:
-            # bridge exponent -2 a b / (sigma^2 d), built in one buffer
-            expo = np.empty((k, r))
-            expo[0] = x0
-            expo[1:] = post[:-1]
-            expo *= pre
-            expo *= -2.0 / sig2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                expo /= span
-            p = np.zeros((k, r))
-            with np.errstate(over="ignore"):
-                np.exp(expo, out=p, where=expo > _EXP_FLOOR)
-            # where p is 0 no uniform can fall below it
-            live = p > 0.0
-            cont[live] |= rng.random(int(live.sum())) < p[live]
-        jump = is_jump & (post < 0.0) & ~cont
-        event = cont | jump
-        hit = event.any(axis=0)
 
-        cols = np.nonzero(hit)[0]
-        if cols.size:
-            row = np.argmax(event[:, cols], axis=0)
-            ids = alive[cols]
-            by = jump[row, cols]
-            crossed[ids] = True
-            byjump[ids] = by
-            over[ids] = np.where(by, -post[row, cols], 0.0)
-            tau[ids] = epochs[row, cols]
-            c_row, c_col = row[~by], cols[~by]
-            if c_col.size:
-                a = np.where(c_row > 0, post[c_row - 1, c_col], x0[c_col])
-                b = pre[c_row, c_col]
-                d = span[c_row, c_col]
-                frac = _crossing_fraction(rng, a, b, d, sig2)
-                tau[ids[~by]] = epochs[c_row, c_col] - d + d * frac
+        hit, when, under, by = _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump)
+        ids = alive[hit]
+        crossed[ids] = True
+        tau[ids] = when
+        over[ids] = under
+        byjump[ids] = by
 
         rest = np.nonzero(~hit)[0]
         x[alive[rest]] = post[-1, rest]
@@ -585,38 +588,18 @@ def _sweep_block(plan, rng, m, start, horizon):
     return crossed, tau, over, byjump, x
 
 
-def _sweeps(plan, config, start, horizon, kill=None):
-    # _sweep_block on each block of paths, each on its own stream, in
-    # block order.  with a killing rate, each path also stops at its
-    # discount clock (_DISCOUNT_CLOCK + E)/kill, E ~ Exp(1) drawn first
-    # from the block's stream
-    for index, size in _blocks(config):
-        rng = _philox(config.seed, index)
-        stop = horizon
-        if kill is not None:
-            clock = (_DISCOUNT_CLOCK + rng.standard_exponential(size)) / kill
-            stop = np.minimum(horizon, clock)
-        yield _sweep_block(plan, rng, size, start, stop)
-
-
-def _fold(values_iter):
-    # streaming (n, mean, M2) in fixed block order
-    n, mean, m2 = 0, 0.0, 0.0
-    for arr in values_iter:
-        k = arr.size
-        if k == 0:
-            continue
-        bm = float(arr.mean())
-        bv = float(((arr - bm) ** 2).sum())
-        if n == 0:
-            n, mean, m2 = k, bm, bv
-        else:
-            d = bm - mean
-            tot = n + k
-            mean += d * k / tot
-            m2 += bv + d * d * n * k / tot
-            n = tot
-    return n, mean, m2
+def _fold(n, mean, m2, arr):
+    # streaming (n, mean, M2) with the values of arr folded in after the rest
+    k = arr.size
+    if k == 0:
+        return n, mean, m2
+    bm = float(arr.mean())
+    bv = float(((arr - bm) ** 2).sum())
+    if n == 0:
+        return k, bm, bv
+    d = bm - mean
+    tot = n + k
+    return tot, mean + d * k / tot, m2 + (bv + d * d * n * k / tot)
 
 
 def _finish(n, mean, m2, target, crossings=None, allowance=None):
@@ -639,6 +622,25 @@ def _finish(n, mean, m2, target, crossings=None, allowance=None):
 # ---------------------------------------------------------------------------
 
 
+def _estimate(plan, config, start, horizon, score, kill=None):
+    # _sweep_block on each block of paths, each on its own stream, folded
+    # in block order as score(crossed, tau, overshoot, by_jump, x_final),
+    # one value per path.  with a killing rate, each path also stops at
+    # its discount clock (_DISCOUNT_CLOCK + E)/kill, E ~ Exp(1) drawn
+    # first from the block's stream.  returns (n, mean, m2, crossings)
+    n, mean, m2, crossings = 0, 0.0, 0.0, 0
+    for index, size in _blocks(config):
+        rng = _philox(config.seed, index)
+        stop = horizon
+        if kill is not None:
+            clock = (_DISCOUNT_CLOCK + rng.standard_exponential(size)) / kill
+            stop = np.minimum(horizon, clock)
+        sweep = _sweep_block(plan, rng, size, start, stop)
+        crossings += int(sweep[0].sum())
+        n, mean, m2 = _fold(n, mean, m2, score(*sweep))
+    return n, mean, m2, crossings
+
+
 def _laplace(model, config, plan, start, rate, target, what):
     # mean of exp(-rate * first passage tau below 0) from start, up to the
     # horizon H: each path stops at min(H, T0 + E/rate), T0 =
@@ -649,15 +651,11 @@ def _laplace(model, config, plan, start, rate, target, what):
     # ``what`` completes the InsufficientCrossings message
     horizon = _resolve_horizon(model, config)
     t0 = _DISCOUNT_CLOCK / rate
-    crossings = 0
 
-    def values():
-        nonlocal crossings
-        for crossed, tau, _, _, _ in _sweeps(plan, config, start, horizon, rate):
-            crossings += int(crossed.sum())
-            yield np.where(crossed, np.exp(-rate * np.minimum(tau, t0)), 0.0)
+    def score(crossed, tau, overshoot, by_jump, x_final):
+        return np.where(crossed, np.exp(-rate * np.minimum(tau, t0)), 0.0)
 
-    n, mean, m2 = _fold(values())
+    n, mean, m2, crossings = _estimate(plan, config, start, horizon, score, rate)
     if crossings < _MIN_CROSSINGS:
         # before T0 no clock can fire, so below it H alone stops the paths
         clock = "" if horizon <= t0 else f"their discount clocks {t0} + Exp(1)/{rate} or "
@@ -668,26 +666,6 @@ def _laplace(model, config, plan, start, rate, target, what):
     # each, bounded by the share of paths that had not crossed
     allowance = ((n - crossings) / n) * math.exp(-rate * horizon)
     return _finish(n, mean, m2, target(), crossings, allowance)
-
-
-def _to_horizon(model, config, plan, x, creeps, closure):
-    # paths from x run to the closure horizon T; a crossed path scores 1
-    # if ``creeps`` and no jump made its crossing, else 0, and a survivor
-    # scores closure(X_T), its analytic value from there, in one array
-    # call per block.  returns (n, mean, m2, crossings)
-    horizon = _resolve_horizon(model, config, _CLOSURE_HORIZON)
-    crossings = 0
-
-    def values():
-        nonlocal crossings
-        for crossed, _, _, byjump, xf in _sweeps(plan, config, x, horizon):
-            crossings += int(crossed.sum())
-            out = np.where(byjump, 0.0, float(creeps))
-            out[~crossed] = closure(xf[~crossed])
-            yield out
-
-    n, mean, m2 = _fold(values())
-    return n, mean, m2, crossings
 
 
 def estimate_upcross_laplace(model, config, a, q):
@@ -741,18 +719,23 @@ def estimate_creeping(model, config, x):
     x = _check_positive("x", x)
     plan = _plan(model, config)
     engine = make_engine(model)
+    creeps = float(plan.sigma > 0.0)
 
-    def closure(v):
+    def score(crossed, tau, overshoot, by_jump, x_final):
+        out = np.where(by_jump, 0.0, creeps)
+        v = x_final[~crossed]
         try:
-            return fluctuation.creeping_probability(engine, v)
+            out[~crossed] = fluctuation.creeping_probability(engine, v)
         except InversionFailure as err:
             raise InversionFailure(
                 f"creeping closure at survivor positions X_T in [{v.min():.4g}, "
                 f"{v.max():.4g}]: W'^(0) decays in the tail of a model drifting "
                 f"to +infinity, below what the contour resolves ({err})"
             ) from err
+        return out
 
-    n, mean, m2, crossings = _to_horizon(model, config, plan, x, plan.sigma > 0.0, closure)
+    horizon = _resolve_horizon(model, config, _CLOSURE_HORIZON)
+    n, mean, m2, crossings = _estimate(plan, config, x, horizon, score)
     target = fluctuation.creeping_probability(engine, x)
     return _finish(n, mean, m2, target, crossings, 0.0)
 
@@ -771,8 +754,14 @@ def estimate_survival(model, config, x):
         )
     plan = _plan(model, config)
     engine = make_engine(model)
-    n, mean, m2, _ = _to_horizon(model, config, plan, x, False,
-                                 lambda v: fluctuation.survival_probability(engine, v))
+
+    def score(crossed, tau, overshoot, by_jump, x_final):
+        out = np.zeros(crossed.size)
+        out[~crossed] = fluctuation.survival_probability(engine, x_final[~crossed])
+        return out
+
+    horizon = _resolve_horizon(model, config, _CLOSURE_HORIZON)
+    n, mean, m2, _ = _estimate(plan, config, x, horizon, score)
     target = fluctuation.survival_probability(engine, x)
     return _finish(n, mean, m2, target, None, 0.0)
 
@@ -819,5 +808,5 @@ def martingale_check(model, config, lam):
     horizon = _resolve_horizon(model, config)
     values = sample_terminal(model, config)
     w = np.exp(lam * values - float(model.psi(lam)) * horizon)
-    n, mean, m2 = _fold(iter([w]))
+    n, mean, m2 = _fold(0, 0.0, 0.0, w)
     return _finish(n, mean, m2, 1.0)

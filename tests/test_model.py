@@ -88,6 +88,16 @@ def test_pi_tail_exponential():
     assert float(m.pi_tail(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+def test_jump_measure_rejects_non_finite_arguments():
+    # a nan or infinite argument raises, alone or inside an array
+    m = model_b()
+    for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(BadParameterError, match="pi_tail"):
+            m.pi_tail(bad)
+        with pytest.raises(BadParameterError, match="ladder_exponent"):
+            m.ladder_exponent(bad)
+
+
 def test_pi_tail_stable_normalization():
     # tail chosen so the compensated integral reproduces c*lam^alpha
     m = stable_sn(alpha=1.5, scale=1.0)

@@ -48,6 +48,11 @@ def test_config_rejects_bad_fields():
         MCConfig(dt=1e-3, paths=100, small_jump_mode="ignore")
     with pytest.raises(BadConfigError):
         MCConfig(dt=1e-3, paths=100, horizon=-1.0)
+    # paths and seed must be integers, not floats or bools
+    for fields in ({"paths": 2.5}, {"paths": True}, {"paths": 100, "seed": 1.5},
+                   {"paths": 100, "seed": False}):
+        with pytest.raises(BadConfigError, match="must be an integer"):
+            MCConfig(dt=0.05, **fields)
 
 
 def test_oscillating_model_needs_explicit_horizon():
@@ -122,6 +127,9 @@ def test_path_level_must_be_negative():
     cfg = MCConfig(dt=1e-3, paths=1, horizon=1.0, seed=0)
     with pytest.raises(BadParameterError):
         simulate_path(bm(), cfg, 0, level=0.5)
+    for level in (math.nan, -math.inf):
+        with pytest.raises(BadParameterError):
+            simulate_path(bm(), cfg, 0, level=level)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -277,16 +285,49 @@ def test_zero_spread_leaves_z_undefined():
 def test_sweeps_cover_every_path_in_block_order():
     # one sweep per block, sizes summing to config.paths, each block the
     # same as a sweep run alone on that block's stream
-    from levyfluct.montecarlo import _BLOCK_PATHS, _philox, _plan, _sweep_block, _sweeps
+    from levyfluct.montecarlo import _BLOCK_PATHS, _estimate, _philox, _plan, _sweep_block
 
     m = model_b()
     cfg = MCConfig(dt=2e-3, paths=_BLOCK_PATHS + 7, horizon=1.0, seed=4)
     plan = _plan(m, cfg)
-    blocks = list(_sweeps(plan, cfg, 1.0, 1.0))
+    blocks = []
+
+    def score(*sweep):
+        blocks.append(sweep)
+        return sweep[0].astype(float)
+
+    n, _, _, crossings = _estimate(plan, cfg, 1.0, 1.0, score)
     assert [b[0].size for b in blocks] == [_BLOCK_PATHS, 7]
+    assert n == cfg.paths and crossings == sum(int(b[0].sum()) for b in blocks)
     alone = _sweep_block(plan, _philox(cfg.seed, 1), 7, 1.0, 1.0)
     for got, want in zip(blocks[1], alone):
         np.testing.assert_array_equal(got, want)
+
+
+def test_first_crossing_on_linear_spans():
+    # sigma = 0, so no random draw: column 0 crosses inside its span at
+    # a/(a - b) of it, column 1 by a jump at its epoch, column 2 by a jump
+    # before a later continuous crossing, column 3 never, and column 4
+    # inside a span that a jump then ends, which is a continuous crossing
+    from levyfluct.montecarlo import _first_crossing
+
+    epochs = np.array([[2.0, 1.0, 1.0, 1.0, 2.0], [2.0, 1.0, 2.0, 2.0, 2.0],
+                       [2.0, 1.0, 3.0, 3.0, 2.0]])
+    span = np.array([[2.0, 1.0, 1.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0, 1.0, 0.0]])
+    pre = np.array([[-3.0, 0.5, 0.5, 0.5, -3.0], [-3.0, -0.25, 0.25, 0.75, -4.0],
+                    [-3.0, -0.25, -1.0, 1.0, -4.0]])
+    post = np.array([[-3.0, -0.25, 0.5, 0.5, -4.0], [-3.0, -0.25, -0.5, 0.25, -4.0],
+                     [-3.0, -0.25, -1.0, 1.0, -4.0]])
+    is_jump = np.array([[False, True, False, False, True], [False, False, True, True, False],
+                        [False, False, False, False, False]])
+    hit, tau, overshoot, by_jump = _first_crossing(
+        None, 0.0, np.ones(5), post, pre, epochs, span, is_jump)
+    np.testing.assert_array_equal(hit, [True, True, True, False, True])
+    # 2 - 2 + 2 * 1/(1 + 3): exact in binary
+    np.testing.assert_array_equal(tau, [0.5, 1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(overshoot, [0.0, 0.25, 0.5, 0.0])
+    np.testing.assert_array_equal(by_jump, [False, True, True, False])
 
 
 def test_laplace_estimators_name_their_passage():
@@ -302,19 +343,25 @@ def test_closure_still_sees_a_wrong_drift():
     # the closure scores survivors analytically, but the crossings before
     # the horizon are simulated: a plan with 0.9 of the true drift must
     # still miss the survival target by far, and the true plan must not
-    from levyfluct.montecarlo import _finish, _plan, _to_horizon
+    from levyfluct.montecarlo import (
+        _CLOSURE_HORIZON, _estimate, _finish, _plan, _resolve_horizon)
 
     m = LevyModel(gamma=2.0, sigma2=1.0, jumps=ExpJumps(rate=1.0, jump_rate=2.0))
     cfg = MCConfig(dt=1e-2, paths=4000, seed=0)
     engine = make_engine(m)
     target = fluctuation.survival_probability(engine, 1.0)
     plan = _plan(m, cfg)
+    horizon = _resolve_horizon(m, cfg, _CLOSURE_HORIZON)
+
+    def score(crossed, tau, overshoot, by_jump, x_final):
+        out = np.zeros(crossed.size)
+        out[~crossed] = fluctuation.survival_probability(engine, x_final[~crossed])
+        return out
+
     z = {}
     for scale in (1.0, 0.9):
-        n, mean, m2, _ = _to_horizon(
-            m, cfg, replace(plan, drift=scale * plan.drift), 1.0, False,
-            lambda v: fluctuation.survival_probability(engine, v),
-        )
+        n, mean, m2, _ = _estimate(
+            replace(plan, drift=scale * plan.drift), cfg, 1.0, horizon, score)
         z[scale] = _finish(n, mean, m2, target).z_score
     assert abs(z[1.0]) <= 3.0
     assert z[0.9] < -4.5
