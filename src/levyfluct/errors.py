@@ -11,6 +11,10 @@ fault and the latter are ours.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 __all__ = [
     "LevyFluctError",
     "BadParameterError",
@@ -81,3 +85,29 @@ class DegenerateDenominator(LevyFluctError, ZeroDivisionError):
 
 class InsufficientCrossings(LevyFluctError, RuntimeError):
     """Too few Monte Carlo paths realised the conditioning event."""
+
+
+def _check_arg(name, value, bound=0.0, strict=True):
+    """A public level, rate or point: finite and > bound (>= when not strict).
+
+    value is a float, or a numpy array of points checked at every point;
+    it comes back as a float or a float array.  bound = -inf asks only
+    for finiteness.
+    """
+    # a float skips the array test, which costs as much as the check itself
+    if type(value) is not float:
+        if isinstance(value, np.ndarray):
+            value = np.asarray(value, dtype=float)
+            ok = np.isfinite(value) & ((value > bound) if strict else (value >= bound))
+            if not ok.all():
+                raise _bad_arg(name, value[~ok][0], bound, strict)
+            return value
+        value = float(value)
+    if math.isfinite(value) and (value > bound if strict else value >= bound):
+        return value
+    raise _bad_arg(name, value, bound, strict)
+
+
+def _bad_arg(name, value, bound, strict):
+    limit = "" if bound == -math.inf else f" and {'>' if strict else '>='} {bound:g}"
+    return BadParameterError(f"{name} must be finite{limit}, got {value}")

@@ -48,8 +48,7 @@ import numpy as np
 
 from ._quadrature import _jump_quadrature, integrate_finite
 from ._special import _incomplete_gamma
-from .errors import BadParameterError, DegenerateDenominator
-from .fluctuation import _check_positive
+from .errors import BadParameterError, DegenerateDenominator, _check_arg
 from .model import NoJumps
 
 __all__ = [
@@ -147,7 +146,7 @@ def _lifetime_rate(engine, beta):
 
 def intensity_total(engine, beta):
     """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta))."""
-    return _lifetime_rate(engine, _check_positive("beta", beta))
+    return _lifetime_rate(engine, _check_arg("beta", beta))
 
 
 def intensity_total_infinite(engine):
@@ -161,7 +160,7 @@ def intensity_upper_creep(engine, beta):
     Equals (sigma2/2)(phi(beta) - phi(0)); vanishes without a Gaussian
     part, since only the Brownian component can hit a level continuously.
     """
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     m = engine.model
     return float(0.5 * m.sigma2 * (m.phi(beta) - m.phi(0.0)))
 
@@ -185,7 +184,7 @@ def intensity_cross_before(engine, beta):
 
     phi(beta) * integral_0^inf exp(-phi(beta)*u) * u * pitail(u) du.
     """
-    return _cross_before(engine, _check_positive("beta", beta))
+    return _cross_before(engine, _check_arg("beta", beta))
 
 
 def intensity_cross_before_infinite(engine):
@@ -200,7 +199,7 @@ def intensity_negative_start(engine, beta):
     the never-ending part is (sigma2/2)*phi(0), and their sum
     (sigma2/2)*phi(beta) holds in every drift regime.
     """
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     m = engine.model
     half_s2 = 0.5 * m.sigma2
     phi0 = m.phi(0.0)
@@ -218,7 +217,7 @@ def intensity_cross_after(engine, beta):
     integral_0^inf pitail(y) * (exp(-phi(0)*y) - exp(-phi(beta)*y)) dy,
     the difference of the tail transform at phi(beta) and at phi(0).
     """
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     m = engine.model
     tail_transform = m.jumps.tail_transform
     return float(tail_transform(m.phi(beta)) - tail_transform(m.phi(0.0)))
@@ -268,7 +267,7 @@ def decomposition_residual(engine, beta):
 
 def intensity_table(engine, beta):
     """Assemble every intensity of one model at one killing rate."""
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     neg = intensity_negative_start(engine, beta)
     total = intensity_total(engine, beta)
     before = intensity_cross_before(engine, beta)
@@ -297,7 +296,7 @@ def dual_lifetime_masses(engine, beta):
     beta/phi(beta).  Their product against u_beta(0) = phi'(beta) is the
     consistency relation the validation suite asserts.
     """
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     phib = float(engine.model.phi(beta))
     return phib, beta / phib
 
@@ -315,7 +314,7 @@ def entrance_constants(engine, beta):
     part, and c_stay = phi'(beta) * c_pos for starting positive and
     staying positive up to e_beta.
     """
-    beta = _check_positive("beta", beta)
+    beta = _check_arg("beta", beta)
     m = engine.model
     phib = m.phi(beta)
     phipb = m.phi_prime(beta)
@@ -346,7 +345,7 @@ def entrance_law_laplace(engine, q, f, support):
     It is called on 1-D numpy arrays of points and returns their values,
     or a constant that broadcasts against them.
     """
-    q = _check_positive("q", q)
+    q = _check_arg("q", q)
     lo, hi = (float(s) for s in support)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadParameterError(f"support must be a finite interval, got {support}")
@@ -427,7 +426,7 @@ def occupation_overshoot_identity(engine):
 
 def inverse_local_time(engine, lam):
     """Laplace exponent of the inverse local time at 0: 1/phi'(lam)."""
-    return _lifetime_rate(engine, _check_positive("lam", lam))
+    return _lifetime_rate(engine, _check_arg("lam", lam))
 
 
 def subordinator_drift(engine):

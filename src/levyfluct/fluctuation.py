@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import integrate_finite, integrate_semiinfinite
-from .errors import BadParameterError, QuadratureFailure
+from .errors import BadParameterError, QuadratureFailure, _check_arg
 from .model import NoJumps, _tail_decay_hint
 
 __all__ = [
@@ -52,23 +52,6 @@ __all__ = [
 ]
 
 
-def _check_positive(name, value):
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise BadParameterError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
-def _check_points(name, x):
-    # a float, or a numpy array of points that stays an array
-    if not isinstance(x, np.ndarray):
-        return _check_positive(name, x)
-    x = x.astype(float)
-    if not np.all(np.isfinite(x) & (x > 0.0)):
-        raise BadParameterError(f"{name} must be finite and > 0 at every point")
-    return x
-
-
 def resolvent_density(engine, q, y):
     """Density u_q(y) of the resolvent of the process killed at rate q.
 
@@ -77,10 +60,10 @@ def resolvent_density(engine, q, y):
     leading-term split, so no accuracy is lost when phi(q)|y| is large.
     y may be a float or a numpy array; the result has the same form.
     """
-    q = _check_positive("q", q)
+    q = _check_arg("q", q)
+    y = _check_arg("y", y, -math.inf)
     m = engine.model
     if not isinstance(y, np.ndarray):
-        y = float(y)
         if y >= 0.0:
             return float(m.phi_prime(q)) * math.exp(-m.phi(q) * y)
         return -engine.w_minus_leading(q, -y)
@@ -101,8 +84,8 @@ def h_beta(engine, beta, y):
     Near 0 the split form would subtract two numbers of size phi'(beta)
     to get one of size W^(beta)(y) ~ y^(alpha - 1) and lose digits.
     """
-    beta = _check_positive("beta", beta)
-    y = float(y)
+    beta = _check_arg("beta", beta)
+    y = _check_arg("y", y, -math.inf)
     m = engine.model
     phi = m.phi(beta)
     phip = float(m.phi_prime(beta))
@@ -115,8 +98,8 @@ def h_beta(engine, beta, y):
 
 def hitting_laplace(engine, beta, y):
     """E_y[exp(-beta T_0)] = u_beta(-y)/u_beta(0) for the first hit of 0."""
-    beta = _check_positive("beta", beta)
-    y = float(y)
+    beta = _check_arg("beta", beta)
+    y = _check_arg("y", y, -math.inf)
     m = engine.model
     if y <= 0.0:
         return math.exp(m.phi(beta) * y)
@@ -130,8 +113,8 @@ def passage_below_laplace(engine, beta, y):
     of Z and W is identical and is removed from both factors before
     subtracting.
     """
-    beta = _check_positive("beta", beta)
-    y = _check_positive("y", y)
+    beta = _check_arg("beta", beta)
+    y = _check_arg("y", y)
     m = engine.model
     phib = float(m.phi(beta))
     return engine.z_minus_leading(beta, y) - (beta / phib) * engine.w_minus_leading(
@@ -147,7 +130,7 @@ def creeping_probability(engine, x):
     engine's error estimate shows up in tests instead of being hidden.
     x may be a float or a numpy array; the result has the same form.
     """
-    x = _check_points("x", x)
+    x = _check_arg("x", x)
     m = engine.model
     if m.sigma2 == 0.0:
         return 0.0 * x
@@ -160,7 +143,7 @@ def survival_probability(engine, x):
 
     x may be a float or a numpy array; the result has the same form.
     """
-    x = _check_points("x", x)
+    x = _check_arg("x", x)
     mean = engine.model.mean
     if mean <= 0.0:
         return 0.0 * x
@@ -184,10 +167,8 @@ def kernel_K(engine, beta, x, f, deadline=None):
 
     ``deadline`` (seconds) cooperatively cancels a long evaluation.
     """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise BadParameterError(f"beta must be finite and >= 0, got {beta}")
-    x = _check_positive("x", x)
+    beta = _check_arg("beta", beta, strict=False)
+    x = _check_arg("x", x)
     m = engine.model
     if isinstance(m.jumps, NoJumps):
         return 0.0
@@ -237,10 +218,10 @@ def conditioned_resolvent_density(engine, beta, lam, x, y):
     (u_{beta+lam}(y-x) - u_{beta+lam}(-x) u_{beta+lam}(y)/u_{beta+lam}(0))
     * h_beta(y)/h_beta(x).
     """
-    beta = _check_positive("beta", beta)
-    lam = _check_positive("lam", lam)
-    x = float(x)
-    y = float(y)
+    beta = _check_arg("beta", beta)
+    lam = _check_arg("lam", lam)
+    x = _check_arg("x", x, -math.inf)
+    y = _check_arg("y", y, -math.inf)
     if x == 0.0 or y == 0.0:
         raise BadParameterError("conditioned resolvent needs x != 0 and y != 0")
     rate = beta + lam
@@ -308,7 +289,7 @@ def g_family(engine):
     infinite = m.mean < 0.0
 
     def g(x):
-        x = float(x)
+        x = _check_arg("x", x, -math.inf)
         if phi0 == 0.0:
             return -x
         return (1.0 - math.exp(phi0 * x)) / phi0
@@ -320,31 +301,24 @@ def g_family(engine):
         return g(x)
 
     def g_plus(x):
-        x = float(x)
-        if x < 0.0:
-            raise BadParameterError("g_plus is defined on x >= 0")
-        return engine.w(0.0, x)
+        return engine.w(0.0, _check_arg("x", x, strict=False))
 
     def g_minus_beta(beta, x):
-        x = float(x)
-        beta = float(beta)
+        x = _check_arg("x", x, -math.inf)
+        beta = _check_arg("beta", beta, strict=False)
         if x >= 0.0:
             raise BadParameterError("g_minus_beta is defined on x < 0")
-        if not (math.isfinite(beta) and beta >= 0.0):
-            raise BadParameterError(f"beta must be finite and >= 0, got {beta}")
         phib = float(m.phi(beta))
         if phib == 0.0:
             return -x
         return (1.0 - math.exp(x * phib)) / phib
 
-    if infinite:
-        def g_tilde(x):
+    def g_tilde(x):
+        x = _check_arg("x", x, -math.inf)
+        if infinite:
             return math.inf
-    else:
-        def g_tilde(x):
-            x = float(x)
-            pos = engine.w(0.0, x) if x > 0.0 else 0.0
-            return pos - a_const * x
+        pos = engine.w(0.0, x) if x > 0.0 else 0.0
+        return pos - a_const * x
 
     return GFamily(
         g=g,

@@ -41,7 +41,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     BoundedVariationError,
     ConvergenceFailure,
     ModelFormatError,
+    _check_arg,
 )
 
 __all__ = [
@@ -94,25 +95,13 @@ class NoJumps:
     infinite_variation = False
 
     def psi_part(self, lam):
+        # keeps a complex node array complex
         return np.zeros_like(np.asarray(lam))
 
-    def psi_part_d1(self, lam):
-        return np.zeros_like(np.asarray(lam, dtype=float))
-
-    def psi_part_d2(self, lam):
-        return np.zeros_like(np.asarray(lam, dtype=float))
-
-    def tail(self, x):
+    def _zeros(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def density(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def tail_transform(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def tail_moment(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+    psi_part_d1 = psi_part_d2 = tail = density = tail_transform = tail_moment = _zeros
 
     @property
     def mean_at_zero(self):
@@ -123,9 +112,6 @@ class NoJumps:
 
     def truncated_mean(self, eps):
         return 0.0
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -192,9 +178,6 @@ class ExpJumps:
         # integral of x Pi(dx) over (-inf, -eps]
         mu = self.jump_rate
         return -self.rate * (eps + 1.0 / mu) * math.exp(-mu * eps)
-
-    def params(self):
-        return {"rate": self.rate, "jump_rate": self.jump_rate}
 
 
 def _stable_front(alpha, scale):
@@ -269,9 +252,6 @@ class StableJumps:
     def truncated_mean(self, eps):
         k = _stable_front(self.alpha, self.scale)
         return -k * eps ** (1.0 - self.alpha) / (self.alpha - 1.0)
-
-    def params(self):
-        return {"alpha": self.alpha, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -366,13 +346,6 @@ class TemperedStableJumps:
             - th ** (a - 1.0) * upper / (a - 1.0)
         )
         return -k * tail_int
-
-    def params(self):
-        return {
-            "alpha": self.alpha,
-            "scale": self.scale,
-            "tempering": self.tempering,
-        }
 
 
 # the tempered tail transforms in s = r/theta, without their prefactors
@@ -504,9 +477,7 @@ class LevyModel:
 
     def phi(self, q):
         """Largest solution of psi(lam) = q, for q >= 0."""
-        if not (math.isfinite(q) and q >= 0.0):
-            raise BadParameterError(f"phi: q must be finite and >= 0, got {q}")
-        return _phi_cached(self, float(q))
+        return _phi_cached(self, _check_arg("phi: q", q, strict=False))
 
     def phi_prime(self, q):
         """Derivative of phi; +inf at q = 0 when the process oscillates."""
@@ -520,10 +491,7 @@ class LevyModel:
 
     def pi_tail(self, x):
         """Mass of jumps below -x, for x > 0."""
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr) & (arr > 0.0)):
-            raise BadParameterError("pi_tail: x must be finite and > 0")
-        return _maybe_scalar(self.jumps.tail(arr), x)
+        return _maybe_scalar(self.jumps.tail(_check_arg("pi_tail: x", x)), x)
 
     def ladder_exponent(self, lam):
         """Descending ladder height exponent kappa_hat(lam) = psi(lam)/(lam - phi(0)).
@@ -532,9 +500,7 @@ class LevyModel:
         neighbourhood of it the Taylor expansion
         psi'(phi0) + psi''(phi0)*(lam - phi0)/2 is used instead of the ratio.
         """
-        arr = np.asarray(lam, dtype=float)
-        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-            raise BadParameterError("ladder_exponent: lam must be finite and >= 0")
+        arr = _check_arg("ladder_exponent: lam", lam, strict=False)
         phi0 = self.phi(0.0)
         gap = arr - phi0
         near = np.abs(gap) <= 1e-9 * (1.0 + phi0)
@@ -553,8 +519,7 @@ class LevyModel:
 
         taken as the integral of exp(-phi0*u) * pi_tail(x + u) over u > 0.
         """
-        if x <= 0.0:
-            raise BadParameterError("ladder_tail: x must be > 0")
+        x = _check_arg("ladder_tail: x", x)
         if isinstance(self.jumps, NoJumps):
             return 0.0
         phi0 = self.phi(0.0)
@@ -691,12 +656,7 @@ def model_from_dict(data):
             f"jumps.family: expected one of {sorted(_FAMILIES)}, got {family!r}"
         )
     cls = _FAMILIES[family]
-    wanted = {
-        "none": set(),
-        "cp_exp": {"rate", "jump_rate"},
-        "stable": {"alpha", "scale"},
-        "tempered_stable": {"alpha", "scale", "tempering"},
-    }[family]
+    wanted = {f.name for f in fields(cls)}
     extra = set(jd) - wanted - {"family"}
     if extra:
         raise ModelFormatError(f"jumps: unknown field(s) {sorted(extra)} for family '{family}'")
@@ -719,8 +679,5 @@ def parse_model(text):
 
 
 def model_to_dict(model):
-    out = {"gamma": model.gamma, "sigma2": model.sigma2}
-    jumps = {"family": model.jumps.family}
-    jumps.update(model.jumps.params())
-    out["jumps"] = jumps
-    return out
+    jumps = {"family": model.jumps.family, **asdict(model.jumps)}
+    return {"gamma": model.gamma, "sigma2": model.sigma2, "jumps": jumps}

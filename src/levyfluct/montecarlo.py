@@ -44,11 +44,11 @@ from .errors import (
     InsufficientCrossings,
     InversionFailure,
     WrongRegimeError,
+    _check_arg,
 )
 from .model import LevyModel, NoJumps, Regime, StableJumps
 from .scale import make_engine
 from . import fluctuation
-from .fluctuation import _check_positive
 
 __all__ = [
     "MCConfig",
@@ -125,6 +125,8 @@ class MCConfig:
                 raise BadConfigError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise BadConfigError(f"paths must be >= 1, got {self.paths}")
+        if not 0 <= self.seed <= _U64:
+            raise BadConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.horizon is not None:
             if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
                 raise BadConfigError(
@@ -332,7 +334,7 @@ def _resolve_horizon(model, config, units=50.0):
 
 
 def _philox(seed, stream):
-    key = ((int(seed) & _U64) << 64) | (int(stream) & _U64)
+    key = (int(seed) << 64) | (int(stream) & _U64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -678,8 +680,8 @@ def estimate_upcross_laplace(model, config, a, q):
     exact, with no cap on the discounted time.
     """
 
-    a = _check_positive("a", a)
-    q = _check_positive("q", q)
+    a = _check_arg("a", a)
+    q = _check_arg("q", q)
     plan = _plan(model, config)
     # gap process a - X: drift flips and the (negative) jumps point up,
     # away from the barrier, so crossing by a jump cannot happen; the
@@ -697,8 +699,8 @@ def estimate_passage_below_laplace(model, config, x, beta):
     exact, with no cap on the discounted time.
     """
 
-    x = _check_positive("x", x)
-    beta = _check_positive("beta", beta)
+    x = _check_arg("x", x)
+    beta = _check_arg("beta", beta)
     plan = _plan(model, config)
     return _laplace(
         model, config, plan, x, beta,
@@ -716,7 +718,7 @@ def estimate_creeping(model, config, x):
     C(X_T), which cuts off nothing: truncation_allowance is 0.0.
     """
 
-    x = _check_positive("x", x)
+    x = _check_arg("x", x)
     plan = _plan(model, config)
     engine = make_engine(model)
     creeps = float(plan.sigma > 0.0)
@@ -747,7 +749,7 @@ def estimate_survival(model, config, x):
     cuts off nothing: truncation_allowance is 0.0.
     """
 
-    x = _check_positive("x", x)
+    x = _check_arg("x", x)
     if model.drift_regime().kind is not Regime.TO_PLUS_INFINITY:
         raise WrongRegimeError(
             "survival is degenerate unless the process drifts to +infinity"
@@ -804,7 +806,7 @@ def martingale_check(model, config, lam):
     exp((psi(2 lam) - 2 psi(lam)) t).
     """
 
-    lam = _check_positive("lam", lam)
+    lam = _check_arg("lam", lam)
     horizon = _resolve_horizon(model, config)
     values = sample_terminal(model, config)
     w = np.exp(lam * values - float(model.psi(lam)) * horizon)

@@ -77,6 +77,7 @@ from .errors import (
     BadParameterError,
     InversionFailure,
     WrongRegimeError,
+    _check_arg,
 )
 from .model import ExpJumps, NoJumps, StableJumps
 
@@ -136,10 +137,12 @@ def mittag_leffler(a, b, z):
 
     z may be a float or a numpy array; the result has the same form.
     """
+    a = _check_arg("a", a)
+    if a > 2.0:
+        raise BadParameterError(f"a must lie in (0, 2], got {a}")
+    b = _check_arg("b", b, -math.inf)
     z, shape = _points(z)
-    zs = np.atleast_1d(z)
-    if zs.size and zs.min() < 0.0:
-        raise BadParameterError("mittag_leffler: z must be >= 0")
+    zs = np.atleast_1d(_check_arg("z", z, strict=False))
     series = zs <= 80.0
     if series.all():
         out = _ml_series_sum(a, b, zs)
@@ -399,18 +402,12 @@ class ScaleEngine:
         return self._contour(q, x, kind)
 
     @staticmethod
-    def _check_args(q, x):
-        # q as a float; x and the shape to give back as from _points
-        q = float(q)
-        if not (math.isfinite(q) and q >= 0.0):
-            raise BadParameterError(f"q must be finite and >= 0, got {q}")
+    def _check_args(q, x, x_bound=-math.inf):
+        # q >= 0 as a float; x >= x_bound and the shape to give back as
+        # from _points
+        q = _check_arg("q", q, strict=False)
         x, shape = _points(x)
-        if shape is None:
-            if not math.isfinite(x):
-                raise BadParameterError(f"x must be finite, got {x}")
-        elif not np.isfinite(x).all():
-            raise BadParameterError(f"x must be finite, got {x[~np.isfinite(x)][0]}")
-        return q, x, shape
+        return q, _check_arg("x", x, x_bound, strict=False), shape
 
     # -- leading-term split -----------------------------------------------------
 
@@ -423,7 +420,7 @@ class ScaleEngine:
         numbers would not.  Needs a finite phi'(q): q > 0, or q = 0 with
         nonzero mean.  x may be a float or an array.
         """
-        q, x, shape = self._check_args(q, x)
+        q, x, shape = self._check_args(q, x, 0.0)
         phip = self.model.phi_prime(q)
         if not math.isfinite(phip):
             raise WrongRegimeError(
@@ -434,9 +431,7 @@ class ScaleEngine:
 
     def z_minus_leading(self, q, x):
         """Z^(q)(x) - (q/phi(q))*phi'(q)*exp(phi(q)*x) for q > 0, x >= 0."""
-        q, x, shape = self._check_args(q, x)
-        if q <= 0.0:
-            raise BadParameterError("z_minus_leading needs q > 0")
+        q, x, shape = self._check_args(_check_arg("q", q), x, 0.0)
         phi = self.model.phi(q)
         lead_coeff = (q / phi) * self.model.phi_prime(q)
         return _shaped(self._minus_leading(q, x, phi, lead_coeff, kind="z"), shape)
@@ -446,11 +441,7 @@ class ScaleEngine:
         # the transform at its simple pole phi = phi(q)
         at_zero = (1.0 if kind == "z" else 0.0) - lead_coeff
         if isinstance(x, float):
-            if x < 0.0:
-                raise BadParameterError(f"{kind}_minus_leading needs x >= 0")
             return at_zero if x == 0.0 else self._split(q, x, phi, lead_coeff, kind)
-        if (x < 0.0).any():
-            raise BadParameterError(f"{kind}_minus_leading needs x >= 0")
         out = np.full(x.shape, at_zero)
         inner = x > 0.0
         if inner.any():
@@ -690,9 +681,8 @@ def w_series_check(engine, q, x):
     call of W and one of W^(q).  Returns the identity's value, the
     engine's own value for reference and their relative gap.
     """
-    q, x, _ = ScaleEngine._check_args(q, float(x))
-    if x <= 0.0:
-        raise BadParameterError("series check needs x > 0")
+    q = _check_arg("q", q, strict=False)
+    x = _check_arg("x", x)
     half = 0.5 * x
     grade = _grade(engine.model)
 
@@ -730,13 +720,9 @@ def _integrate_on_w(model, f, decay, *, rtol, atol=1e-13):
 
 def laplace_roundtrip(engine, q, lam):
     """Numerically transform W^(q) back and compare with 1/(psi(lam) - q)."""
-    q = float(q)
-    lam = float(lam)
+    q = _check_arg("q", q, strict=False)
     phi_q = engine.phi(q)
-    if lam <= phi_q:
-        raise BadParameterError(
-            f"roundtrip needs lam > phi(q) = {phi_q:.6g}, got lam = {lam}"
-        )
+    lam = _check_arg("lam", lam, phi_q)
     numeric = _integrate_on_w(
         engine.model, lambda y: np.exp(-lam * y) * engine.w(q, y), lam - phi_q, rtol=1e-10
     )

@@ -465,21 +465,21 @@ def _mc_checks(model, tol, paths, dt, seed):
                           f"|z| of exp(lam X_t - psi(lam) t) at lam = {lam}", tol))
 
     cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed, **explicit)
-    # (estimator, arguments, slack beyond the truncation allowance, context);
-    # built per call, so a wrapper patched onto montecarlo is the one called
+    # (estimator, arguments, context); built per call, so a wrapper patched
+    # onto montecarlo is the one called
     runs = [
-        (montecarlo.estimate_upcross_laplace, (1.0, 2.5), 2.5 * dt,
+        (montecarlo.estimate_upcross_laplace, (1.0, 2.5),
          "upcross Laplace at a = 1, q = 2.5 vs exp(-a phi(q))"),
-        (montecarlo.estimate_passage_below_laplace, (1.0, 2.5), 2.5 * dt,
+        (montecarlo.estimate_passage_below_laplace, (1.0, 2.5),
          "passage-below Laplace at x = 1, beta = 2.5"),
     ]
     if model.drift_regime().kind is Regime.TO_PLUS_INFINITY:
-        runs.append((montecarlo.estimate_survival, (1.0,), 0.0,
+        runs.append((montecarlo.estimate_survival, (1.0,),
                      "survival probability at x = 1, survivors closed at T with "
                      "psi'(0+) W(X_T)"))
-    for estimator, args, extra, context in runs:
+    for estimator, args, context in runs:
         est = estimator(model, cfg, *args)
-        slack = (est.truncation_allowance or 0.0) + extra
+        slack = est.truncation_allowance or 0.0
         z = max(0.0, abs(est.mean - est.analytic_target) - slack) / max(est.stderr, 1e-300)
         out.append(_check("mc.estimator", z, context, tol))
     return out

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import levyfluct
 from levyfluct import (
     ExpJumps,
     LevyModel,
@@ -8,6 +12,15 @@ from levyfluct import (
     TemperedStableJumps,
     make_engine,
 )
+
+
+def child_env():
+    # the environment of a child interpreter, with the imported package's
+    # source directory first on its PYTHONPATH so that it imports the same
+    # package from a bare checkout
+    src = str(Path(levyfluct.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def bm(gamma=0.0, sigma2=1.0):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from levyfluct.cli import main
+from conftest import child_env
 
 
 MODEL_B = '{"gamma": 2.0, "sigma2": 2.0, "jumps": {"family": "cp_exp", "rate": 1.0, "jump_rate": 1.0}}'
@@ -238,6 +239,14 @@ def test_simulate_rejects_out_of_range_setting(model_files, tmp_path, capsys, fl
     assert name in err
 
 
+def test_simulate_rejects_negative_seed(model_files, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--model", model_files["bm_up"],
+                           "--estimator", "upcross", "--xs", "1", "--qs", "2",
+                           "--paths", "100", "--seed", "-1")
+    assert code == 2
+    assert "seed" in err
+
+
 def test_simulate_without_horizon_on_zero_mean_fails_cleanly(model_files, capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", model_files["bm"],
                            "--estimator", "passage", "--xs", "1", "--qs", "2",
@@ -256,7 +265,7 @@ def test_installed_script_runs(model_files):
         [sys.executable, "-m", "levyfluct.cli", "intensity-table",
          "--model", model_files["b"], "--betas", "2.5", "--format", "csv",
          "--deterministic"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("beta,total")

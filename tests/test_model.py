@@ -235,6 +235,31 @@ def test_dict_roundtrip():
         assert again == m
 
 
+@pytest.mark.parametrize("make, jumps", [
+    (bm, {"family": "none"}),
+    (model_b, {"family": "cp_exp", "rate": 1.0, "jump_rate": 1.0}),
+    (stable_sn, {"family": "stable", "alpha": 1.5, "scale": 1.0}),
+    (tempered_mixed, {"family": "tempered_stable", "alpha": 1.6, "scale": 0.8,
+                      "tempering": 1.5}),
+])
+def test_model_to_dict_snapshot(make, jumps):
+    m = make()
+    expected = {"gamma": m.gamma, "sigma2": m.sigma2, "jumps": jumps}
+    # the emitted JSON, key order included
+    assert json.dumps(model_to_dict(m)) == json.dumps(expected)
+
+
+def test_jump_field_messages():
+    base = {"gamma": 0.0, "sigma2": 1.0}
+    with pytest.raises(ModelFormatError) as info:
+        model_from_dict({**base, "jumps": {"family": "stable", "alpha": 1.5, "rate": 1.0,
+                                           "mu": 2.0}})
+    assert str(info.value) == "jumps: unknown field(s) ['mu', 'rate'] for family 'stable'"
+    with pytest.raises(ModelFormatError) as info:
+        model_from_dict({**base, "jumps": {"family": "tempered_stable", "alpha": 1.5}})
+    assert str(info.value) == "jumps.scale: field is required for family 'tempered_stable'"
+
+
 def test_parse_model_roundtrip():
     m = model_b()
     again = parse_model(json.dumps(model_to_dict(m)))

@@ -55,6 +55,20 @@ def test_config_rejects_bad_fields():
             MCConfig(dt=0.05, **fields)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+def test_config_rejects_seed_outside_philox_key(seed):
+    # the stream key holds 64 bits of seed; 2**64 + 5 would share seed 5's paths
+    with pytest.raises(BadConfigError, match="seed"):
+        MCConfig(dt=1e-3, paths=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_config_accepts_seed_at_philox_key_ends(seed):
+    cfg = MCConfig(dt=1e-2, paths=50, seed=seed)
+    est = estimate_survival(bm(1.0), cfg, 1.0)
+    assert est.n == 50
+
+
 def test_oscillating_model_needs_explicit_horizon():
     with pytest.raises(BadConfigError, match="horizon"):
         estimate_passage_below_laplace(bm(), SMALL, 1.0, 2.0)
