@@ -4,10 +4,10 @@ The tempered stable tail and truncated mean are upper incomplete gammas
 Gamma(s, z), the truncated variances and the occupation kernel lower ones
 gamma(s, z), and the Mittag-Leffler asymptotics need 1/Gamma.  The split
 follows Gautschi (1979, ACM TOMS 5): below z = 1.5 the power series of
-gamma(s, z), above it Gamma(s, z) by a 64-node Gauss-Laguerre rule on
-arrays and by the Legendre continued fraction on Python floats.  Each
-side takes the other from Gamma(s); that subtraction costs most just
-below the split at small s, about 6e-13 relative at s = 0.01.
+gamma(s, z), above it Gamma(s, z) by a 64-node Gauss-Laguerre rule, one
+rule for a Python float and for an array.  Each side takes the other
+from Gamma(s); that subtraction costs most just below the split at small
+s, about 6e-13 relative at s = 0.01.
 """
 
 from __future__ import annotations
@@ -62,31 +62,15 @@ def _laguerre():
 
 
 def _lower_series(s, z):
-    # gamma(s, z) = z**s exp(-z) sum_k z**k / (s (s+1) ... (s+k))
-    term = total = 1.0 / s
-    k = s
-    while term > 1e-17 * total:
-        k += 1.0
-        term *= z / k
-        total += term
-    return z**s * math.exp(-z) * total
+    # gamma(s, z) = z**s exp(-z) sum_k z**k / (s (s+1) ... (s+k)); z a float or 1-d array
+    return z**s * np.exp(-z) * (np.power.outer(z, _POWERS) @ _series_coeffs(s))
 
 
-def _upper_fraction(s, z):
-    # Gamma(s, z) = z**s exp(-z) / f with f the continued fraction
-    # z+1-s - 1(1-s)/(z+3-s - 2(2-s)/(z+5-s - ...)), by modified Lentz.
-    # At integer s the numerator i*(s - i) vanishes and the fraction ends
-    tiny = 1e-300
-    f = c = (z + 1.0 - s) or tiny
-    d = 0.0
-    for i in range(1, 1000):
-        a, b = i * (s - i), z + 2.0 * i + 1.0 - s
-        d = 1.0 / ((b + a * d) or tiny)
-        c = (b + a / c) or tiny
-        f *= c * d
-        if abs(c * d - 1.0) < 1e-16:
-            break
-    return z**s * math.exp(-z) / f
+def _upper_laguerre(s, z):
+    # Gamma(s, z) = z**(s-1) exp(-z) integral_0^inf exp(-t) (1 + t/z)**(s-1) dt
+    nodes, weights = _laguerre()
+    integral = np.power(1.0 + nodes / np.expand_dims(z, -1), s - 1.0) @ weights
+    return z ** (s - 1.0) * np.exp(-z) * integral
 
 
 def _incomplete_gamma(s, z):
@@ -97,22 +81,16 @@ def _incomplete_gamma(s, z):
     clipped there, which keeps z = inf from giving 0*inf.
     """
     full = math.gamma(s)
-    if isinstance(z, float) or np.ndim(z) == 0:
+    if np.ndim(z) == 0:
         z = min(float(z), 1e3)
-        if z < _SPLIT:
-            lower = _lower_series(s, z)
-            return lower, full - lower
-        upper = _upper_fraction(s, z)
-        return full - upper, upper
+        low = z < _SPLIT
+        direct = float(_lower_series(s, z) if low else _upper_laguerre(s, z))
+        return (direct, full - direct) if low else (full - direct, direct)
     z = np.minimum(z, 1e3)
     low = z < _SPLIT
     # gamma(s, z) below the split, Gamma(s, z) above it
     direct = np.empty(z.shape)
-    zs = z[low]
-    direct[low] = zs**s * np.exp(-zs) * (zs[:, None] ** _POWERS @ _series_coeffs(s))
-    zs = z[~low]
-    nodes, weights = _laguerre()
-    integral = np.power(1.0 + nodes / zs[:, None], s - 1.0) @ weights
-    direct[~low] = zs ** (s - 1.0) * np.exp(-zs) * integral
+    direct[low] = _lower_series(s, z[low])
+    direct[~low] = _upper_laguerre(s, z[~low])
     other = full - direct
     return np.where(low, direct, other), np.where(low, other, direct)

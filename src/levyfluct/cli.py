@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import _as_number, parse_model
 from .scale import make_engine
-from .validation import TOLERANCES, run_validation
+from .validation import TOLERANCES, _mc_configs, run_validation
 
 _SCHEMA = "levy-fluct/1"
 
@@ -44,6 +44,14 @@ def _load_model(path):
     except BadParameterError as exc:
         # constructor-level rejection of a syntactically valid file is still
         # a bad model file, so it shares the format-error exit code
+        raise ModelFormatError(str(exc)) from exc
+
+
+def _bad_config(build, *args, **kwargs):
+    # an out-of-range Monte Carlo setting is a bad config, as in _load_model
+    try:
+        return build(*args, **kwargs)
+    except BadConfigError as exc:
         raise ModelFormatError(str(exc)) from exc
 
 
@@ -106,6 +114,8 @@ def _tol_pair(pair):
 
 def cmd_validate(args):
     model = _load_model(args.model)
+    if args.with_mc:  # bad Monte Carlo settings fail before any suite runs
+        _bad_config(_mc_configs, model, args.paths, args.dt, args.seed)
     report = run_validation(
         model,
         with_mc=args.with_mc,
@@ -258,18 +268,15 @@ def _mc_config(args):
         # a flag wins over the file
         return flag if flag is not None else base.get(name, default)
 
-    try:
-        return montecarlo.MCConfig(
-            dt=pick(args.dt, "dt", 1e-3),
-            paths=pick(args.paths, "paths", 10000),
-            horizon=pick(args.horizon, "horizon", None),
-            seed=pick(args.seed, "seed", 0),
-            small_jump_cutoff=base.get("smallJumpCutoff"),
-            small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
-        )
-    except BadConfigError as exc:
-        # an out-of-range setting is a bad config, as in _load_model
-        raise ModelFormatError(str(exc)) from exc
+    return _bad_config(
+        montecarlo.MCConfig,
+        dt=pick(args.dt, "dt", 1e-3),
+        paths=pick(args.paths, "paths", 10000),
+        horizon=pick(args.horizon, "horizon", None),
+        seed=pick(args.seed, "seed", 0),
+        small_jump_cutoff=base.get("smallJumpCutoff"),
+        small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
+    )
 
 
 def cmd_simulate(args):

@@ -272,6 +272,13 @@ class GFamily:
     g_tilde_infinite: bool
 
 
+def _g_weight(phi, x):
+    # (1 - exp(phi x))/phi, with the branch -x at phi = 0 (no numeric 0/0)
+    if phi == 0.0:
+        return -x
+    return (1.0 - math.exp(phi * x)) / phi
+
+
 def g_family(engine):
     """Build the weight family of one model.
 
@@ -289,10 +296,7 @@ def g_family(engine):
     infinite = m.mean < 0.0
 
     def g(x):
-        x = _check_arg("x", x, -math.inf)
-        if phi0 == 0.0:
-            return -x
-        return (1.0 - math.exp(phi0 * x)) / phi0
+        return _g_weight(phi0, _check_arg("x", x, -math.inf))
 
     def g_minus(x):
         x = float(x)
@@ -308,10 +312,7 @@ def g_family(engine):
         beta = _check_arg("beta", beta, strict=False)
         if x >= 0.0:
             raise BadParameterError("g_minus_beta is defined on x < 0")
-        phib = float(m.phi(beta))
-        if phib == 0.0:
-            return -x
-        return (1.0 - math.exp(x * phib)) / phib
+        return _g_weight(float(m.phi(beta)), x)
 
     def g_tilde(x):
         x = _check_arg("x", x, -math.inf)

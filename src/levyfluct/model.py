@@ -107,12 +107,6 @@ class NoJumps:
     def mean_at_zero(self):
         return 0.0
 
-    def truncated_variance(self, eps):
-        return 0.0
-
-    def truncated_mean(self, eps):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ExpJumps:
@@ -168,16 +162,6 @@ class ExpJumps:
     @property
     def mean_at_zero(self):
         return -self.rate / self.jump_rate
-
-    def truncated_variance(self, eps):
-        # integral of x^2 Pi(dx) over (-eps, 0)
-        lower, _ = _incomplete_gamma(3.0, self.jump_rate * eps)
-        return self.rate / self.jump_rate**2 * lower
-
-    def truncated_mean(self, eps):
-        # integral of x Pi(dx) over (-inf, -eps]
-        mu = self.jump_rate
-        return -self.rate * (eps + 1.0 / mu) * math.exp(-mu * eps)
 
 
 def _stable_front(alpha, scale):

@@ -46,7 +46,7 @@ from .errors import (
     WrongRegimeError,
     _check_arg,
 )
-from .model import LevyModel, NoJumps, Regime, StableJumps
+from .model import ExpJumps, LevyModel, NoJumps, Regime, StableJumps, TemperedStableJumps
 from .scale import make_engine
 from . import fluctuation
 
@@ -205,27 +205,26 @@ class Estimate:
 
 @dataclass(frozen=True)
 class _Plan:
+    # drift*t + sigma*B_t + jumps at `rate`, drawn from the law of the model's
+    # own `jumps` above `cutoff` (0 for a finite-activity family: all of them)
     sigma: float
     drift: float
     rate: float
-    kind: str  # "none" | "exp" | "power" | "tempered"
+    jumps: NoJumps | ExpJumps | StableJumps | TemperedStableJumps
     cutoff: float
-    jump_rate: float
-    alpha: float
-    tempering: float
     jump_sign: float = -1.0  # +1.0 in the mirrored (gap) process
     acceptance: float = 1.0  # of the tempered rejection sampler
 
     def sample_jumps(self, rng, k):
-        # magnitudes of the (negative) jumps, all >= cutoff except the
-        # finite-activity family which has no cutoff at all
+        # magnitudes of the (negative) jumps, all >= cutoff
         if k == 0:
             return np.empty(0)
-        if self.kind == "exp":
-            return rng.exponential(1.0 / self.jump_rate, size=k)
-        if self.kind == "power":
+        jumps = self.jumps
+        if isinstance(jumps, ExpJumps):
+            return rng.exponential(1.0 / jumps.jump_rate, size=k)
+        if isinstance(jumps, StableJumps):
             u = 1.0 - rng.random(k)
-            return self.cutoff * u ** (-1.0 / self.alpha)
+            return self.cutoff * u ** (-1.0 / jumps.alpha)
         # tempered power tail by rejection against the bare power tail.
         # one pass draws enough candidates for all k except at most about
         # once in a thousand calls; keeping the first accepted ones in
@@ -236,10 +235,10 @@ class _Plan:
         while need:
             m = int((need + 3.0 * math.sqrt(need) + 8.0) / self.acceptance)
             u = 1.0 - rng.random(m)
-            cand = self.cutoff * u ** (-1.0 / self.alpha)
+            cand = self.cutoff * u ** (-1.0 / jumps.alpha)
             # accept with probability exp(-tempering*(cand - cutoff)),
             # as a standard exponential above the exponent
-            keep = rng.standard_exponential(m) > self.tempering * (cand - self.cutoff)
+            keep = rng.standard_exponential(m) > jumps.tempering * (cand - self.cutoff)
             out.append(cand[keep][:need])
             need -= out[-1].size
         return np.concatenate(out)
@@ -291,14 +290,10 @@ def _auto_cutoff(jumps, sigma2, dt):
 
 def _plan(model, config):
     jumps = model.jumps
-    if isinstance(jumps, NoJumps):
-        return _Plan(math.sqrt(model.sigma2), model.gamma, 0.0, "none",
-                     0.0, 0.0, 0.0, 0.0)
     if jumps.finite_activity:
-        # uncompensated family: gamma is already the true drift and all
-        # jumps are simulated exactly, so there is nothing to fold back
-        return _Plan(math.sqrt(model.sigma2), model.gamma, jumps.rate, "exp",
-                     0.0, jumps.jump_rate, 0.0, 0.0)
+        # uncompensated: gamma is the true drift and every jump is simulated,
+        # at rate tail(0) (exactly 0 without jumps), so nothing is folded back
+        return _Plan(math.sqrt(model.sigma2), model.gamma, float(jumps.tail(0.0)), jumps, 0.0)
     eps = config.small_jump_cutoff
     if eps is None:
         eps = _auto_cutoff(jumps, model.sigma2, config.dt)
@@ -309,17 +304,14 @@ def _plan(model, config):
     var = model.sigma2
     if config.small_jump_mode == "gaussian-compensation":
         var = var + float(jumps.truncated_variance(eps))
-    if jumps.family != "tempered_stable":
-        return _Plan(math.sqrt(var), drift, rate, "power",
-                     eps, 0.0, jumps.alpha, 0.0)
+    if isinstance(jumps, StableJumps):
+        return _Plan(math.sqrt(var), drift, rate, jumps, eps)
     # acceptance of the rejection sampler: the mean of
     # exp(-theta*(Y - eps)) under the bare power tail, i.e. the tempered
     # tail over the bare one at eps, times exp(theta*eps)
-    theta = jumps.tempering
     bare = float(StableJumps(jumps.alpha, jumps.scale).tail(eps))
-    acceptance = math.exp(theta * eps + math.log(rate / bare)) if rate > 0.0 else 1.0
-    return _Plan(math.sqrt(var), drift, rate, "tempered",
-                 eps, 0.0, jumps.alpha, theta, acceptance=acceptance)
+    acceptance = math.exp(jumps.tempering * eps + math.log(rate / bare)) if rate > 0.0 else 1.0
+    return _Plan(math.sqrt(var), drift, rate, jumps, eps, acceptance=acceptance)
 
 
 def _resolve_horizon(model, config, units=50.0):

@@ -13,12 +13,13 @@ Tolerances live in one table so the CLI can override them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import excursion, fluctuation, montecarlo
 from ._quadrature import _jump_quadrature
+from .errors import BadConfigError
 from .model import NoJumps, Regime, model_to_dict
 from .scale import (
     ScaleConfig,
@@ -194,7 +195,7 @@ def _model_checks(model, tol):
                           "pi_tail(0+) recovers the Poisson rate", tol))
 
     grid = np.linspace(0.05, 8.0, 24)
-    vals = np.array([float(model.ladder_exponent(v)) for v in grid])
+    vals = model.ladder_exponent(grid)
     d1 = np.diff(vals)
     d2 = np.diff(d1)
     scale = 1.0 + float(np.max(np.abs(vals)))
@@ -453,18 +454,25 @@ def _excursion_checks(engine, tol):
 # ---------------------------------------------------------------------------
 
 
+def _mc_configs(model, paths, dt, seed):
+    # the martingale check's config, every path run to t = 1, and the
+    # estimators'; a bad setting raises BadConfigError naming it
+    if dt > 1.0:
+        raise BadConfigError(f"dt must be <= 1, the martingale check's horizon, got {dt}")
+    cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed,
+                              horizon=None if model.mean != 0.0 else 12.0)
+    return replace(cfg, horizon=1.0), cfg
+
+
 def _mc_checks(model, tol, paths, dt, seed):
     out = []
-    explicit = {} if model.mean != 0.0 else {"horizon": 12.0}
-
-    cfg = montecarlo.MCConfig(dt=dt, paths=paths, horizon=1.0, seed=seed)
+    cfg, estimator_cfg = _mc_configs(model, paths, dt, seed)
     for lam in (0.5, 1.0):
         est = montecarlo.martingale_check(model, cfg, lam)
         z = abs(est.mean - 1.0) / max(est.stderr, 1e-300)
         out.append(_check("mc.martingale", z,
                           f"|z| of exp(lam X_t - psi(lam) t) at lam = {lam}", tol))
 
-    cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed, **explicit)
     # (estimator, arguments, context); built per call, so a wrapper patched
     # onto montecarlo is the one called
     runs = [
@@ -478,7 +486,7 @@ def _mc_checks(model, tol, paths, dt, seed):
                      "survival probability at x = 1, survivors closed at T with "
                      "psi'(0+) W(X_T)"))
     for estimator, args, context in runs:
-        est = estimator(model, cfg, *args)
+        est = estimator(model, estimator_cfg, *args)
         slack = est.truncation_allowance or 0.0
         z = max(0.0, abs(est.mean - est.analytic_target) - slack) / max(est.stderr, 1e-300)
         out.append(_check("mc.estimator", z, context, tol))

@@ -67,6 +67,23 @@ def test_validate_timestamp_only_without_deterministic(model_files, capsys):
     assert "generatedAt" in json.loads(out)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--paths", "0"), ("--dt", "-1"), ("--dt", "2"), ("--seed", "-1"),
+])
+def test_validate_with_mc_rejects_bad_setting_before_any_suite(
+        model_files, capsys, monkeypatch, flag, value):
+    from levyfluct import validation
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the settings were checked")
+
+    monkeypatch.setattr(validation, "_model_checks", no_suite)
+    code, _, err = run_cli(capsys, "validate", "--model", model_files["bm_up"],
+                           "--with-mc", flag, value)
+    assert code == 2
+    assert flag[2:] in err
+
+
 def test_deterministic_reports_byte_identical(model_files, tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -510,6 +510,18 @@ def _jump_plan(case):
     return m.jumps, _plan(m, MCConfig(dt=1e-2, paths=1, small_jump_cutoff=cutoff))
 
 
+@pytest.mark.parametrize("model", [bm(-1.0), bm(1.0), model_b(), LevyModel(
+    gamma=-0.5, sigma2=1.0, jumps=ExpJumps(rate=3.0, jump_rate=2.0))])
+def test_finite_activity_plan_simulates_every_jump(model):
+    # no cutoff and no folding back: drift gamma, rate 0 or rho, jumps of the model
+    from levyfluct.montecarlo import _plan
+
+    plan = _plan(model, MCConfig(dt=1e-2, paths=1))
+    rate = model.jumps.rate if isinstance(model.jumps, ExpJumps) else 0.0
+    assert (plan.cutoff, plan.acceptance, plan.drift, plan.rate) == (0.0, 1.0, model.gamma, rate)
+    assert plan.sigma == math.sqrt(model.sigma2) and plan.jumps is model.jumps
+
+
 @pytest.mark.parametrize("case", ["power", "tempered", "tempered-rare"])
 def test_sampler_matches_exact_jump_law(case):
     # P(Y > y) = tail(y)/tail(cutoff) for the jumps the sweep simulates
@@ -525,7 +537,7 @@ def test_sampler_matches_exact_jump_law(case):
     tail_eps = float(jumps.tail(eps))
     _, p = stats.kstest(y, lambda v: 1.0 - jumps.tail(np.maximum(v, eps)) / tail_eps)
     assert p > 1e-3
-    if plan.kind == "tempered":
+    if plan.jumps.family == "tempered_stable":
         assert rng.batches == 1  # one oversampled pass
 
 
@@ -534,7 +546,7 @@ def test_tempered_acceptance_is_the_mean_acceptance_probability():
     from scipy import integrate
 
     _, plan = _jump_plan("tempered-rare")
-    a, th, eps = plan.alpha, plan.tempering, plan.cutoff
+    a, th, eps = plan.jumps.alpha, plan.jumps.tempering, plan.cutoff
     val, _ = integrate.quad(
         lambda y: a * eps**a * y ** (-1.0 - a) * math.exp(-th * (y - eps)), eps, math.inf)
     assert plan.acceptance == pytest.approx(val, rel=1e-9)

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 import subprocess
 import sys
 
@@ -32,3 +33,14 @@ def test_every_all_entry_resolves():
         module = importlib.import_module(f"levyfluct.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert getattr(module, name, None) is not None, f"{info.name}.{name}"
+
+
+# the "Size budget" of ROADMAP.md, reset at each re-anchor: an overshoot
+# fails here rather than at the next re-anchor
+SIZE_BUDGET = 4527
+
+
+def test_source_within_size_budget():
+    files = sorted(Path(levyfluct.__file__).parent.glob("*.py"))
+    lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+    assert lines <= SIZE_BUDGET, f"{lines} source lines over the budget of {SIZE_BUDGET}"
