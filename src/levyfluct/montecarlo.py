@@ -33,6 +33,7 @@ functions of (model, config) regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -69,6 +70,10 @@ _U64 = (1 << 64) - 1
 _BLOCK_PATHS = 16384
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
 _ROUND_EVENTS = 1 << 16
+# epochs per path in a sweep's first round; each later round at most
+# doubles the one before, so a path that crosses early is not simulated
+# far past its crossing
+_FIRST_ROUND = 8
 _MIN_CROSSINGS = 10
 # the Laplace estimators discount deterministically for this many units
 # of 1/rate and then kill each path at rate `rate`, an exact stand-in for
@@ -78,10 +83,11 @@ _DISCOUNT_CLOCK = 5.0
 # survival and creeping close their survivors at this many units of
 # 1/|psi'(0+)| by default: a variance choice, since the closure is exact
 _CLOSURE_HORIZON = 5.0
-# np.exp underflows to 0 below ln(2**-1075) = -745.13 and takes a slow
-# path on the way; the bridge exponents below this floor skip it, which
-# leaves the set of nonzero crossing probabilities unchanged
-_EXP_FLOOR = -746.0
+# Generator.random returns multiples of 2**-53, so u < p for p <= 2**-53
+# holds only when u == 0, with probability 2**-53 whatever p is: a span
+# whose bridge exponent is at most ln(2**-53) draws no uniform and does
+# not cross, which moves its crossing law by at most 2**-53
+_EXP_FLOOR = -53.0 * math.log(2.0)
 _EPS = np.finfo(float).eps
 
 
@@ -260,11 +266,14 @@ def _log_bisect(f, lo, hi):
             b = m
 
 
+@functools.lru_cache(maxsize=64)
 def _auto_cutoff(jumps, sigma2, dt):
     # two one-sided constraints: the normal approximation of discarded
     # jumps needs skewness below 1e-2 (cutoff small enough), while the
     # clock must not fire much more than 0.1 times per step (cutoff
-    # large enough).  when they conflict, simulability wins.
+    # large enough).  when they conflict, simulability wins.  memoised on
+    # its arguments (the jump laws are frozen dataclasses); a failure is
+    # not cached, so it raises on every call
     lo, hi = 1e-12, 1e3
     rate_lo, rate_hi = float(jumps.tail(lo)), float(jumps.tail(hi))
     if (rate_lo * dt - 0.1) * (rate_hi * dt - 0.1) > 0.0:
@@ -349,7 +358,8 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
     jump and at post[i, j] after it (is_jump marks the epochs with one);
     no span has a jump inside it.  A span from a > 0 whose Gaussian part
     ends at b crosses surely when b <= 0, else with the Brownian-bridge
-    probability exp(-2ab/(sigma^2 d)); given that, it crosses at d*Y/(1+Y)
+    probability exp(-2ab/(sigma^2 d)), taken as 0 at or below a uniform's
+    grain of 2^-53 (see _EXP_FLOOR); given that, it crosses at d*Y/(1+Y)
     into the span, Y ~ IG(a/|b|, a^2/(sigma^2 d)) (Metwally & Atiya 2002),
     or at a/(a - b) of it when sigma = 0 and the span is linear.  A jump
     that lands below 0 crosses at its epoch.  Only a column's first event
@@ -371,12 +381,10 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
         expo *= -2.0 / sig2
         with np.errstate(divide="ignore", invalid="ignore"):
             expo /= span
-        p = np.zeros(post.shape)
+        # spans at or below the floor cannot cross (see _EXP_FLOOR)
+        live = expo > _EXP_FLOOR
         with np.errstate(over="ignore"):
-            np.exp(expo, out=p, where=expo > _EXP_FLOOR)
-        # where p is 0 no uniform can fall below it
-        live = p > 0.0
-        cont[live] |= rng.random(int(live.sum())) < p[live]
+            cont[live] |= rng.random(int(live.sum())) < np.exp(expo[live])
     jump = is_jump & (post < 0.0) & ~cont
     event = cont | jump
     hit = event.any(axis=0)
@@ -497,7 +505,10 @@ def _sweep_block(plan, rng, m, start, horizon):
     time of the live paths to its horizon, and at most ``_ROUND_EVENTS``
     over all paths (one per path when the block is larger), so memory
     stays bounded whatever the jump rate; the paths left short go on in
-    the next round.
+    the next round.  The first round also takes at most ``_FIRST_ROUND``
+    epochs per path and each later one at most twice the one before, so
+    a path that crosses within a few epochs is not simulated far past
+    its crossing.
 
     Returns (crossed, tau, overshoot, by_jump, x_final): overshoot is the
     distance below 0 just after the crossing (0 for a continuous one) and
@@ -513,6 +524,7 @@ def _sweep_block(plan, rng, m, start, horizon):
     over = np.zeros(m)
     byjump = np.zeros(m, dtype=bool)
     alive = np.arange(m)
+    cap = _FIRST_ROUND
     while alive.size:
         # arrays are (epoch, path)
         r = alive.size
@@ -521,10 +533,12 @@ def _sweep_block(plan, rng, m, start, horizon):
         h0 = stop[alive]
         if plan.rate > 0.0:
             # enough epochs to take the mean path to its horizon with one
-            # standard deviation to spare, within budget: sizing for the
-            # slowest path pads all the others with zero-length rows
+            # standard deviation to spare, within budget and the round
+            # cap: sizing for the slowest path pads all the others with
+            # zero-length rows
             lam = plan.rate * float((h0 - t0).mean())
-            k = max(1, min(_ROUND_EVENTS // r, int(lam + math.sqrt(lam)) + 1))
+            k = max(1, min(_ROUND_EVENTS // r, cap, int(lam + math.sqrt(lam)) + 1))
+            cap = 2 * k
             span = rng.exponential(1.0 / plan.rate, size=(k, r))
             epochs = _running_sum(span, t0, np.empty((k, r)))
             # the first epoch past a path's horizon becomes the horizon

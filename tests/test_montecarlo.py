@@ -344,6 +344,24 @@ def test_first_crossing_on_linear_spans():
     np.testing.assert_array_equal(by_jump, [False, True, True, False])
 
 
+@pytest.mark.parametrize("side,draws", [(-1e-9, 0), (1e-9, 1)], ids=["below", "above"])
+def test_first_crossing_draws_no_uniform_below_the_grain(side, draws):
+    # one span from a = 1 to b over d = 1 at sigma^2 = 1 has the bridge
+    # exponent -2b exactly.  just below ln(2**-53) it cannot cross and
+    # draws no uniform, so the stream goes on as a fresh one; just above
+    # it draws exactly one
+    from levyfluct.montecarlo import _EXP_FLOOR, _first_crossing, _philox
+
+    assert _EXP_FLOOR == -53.0 * math.log(2.0)
+    b = np.full((1, 1), -0.5 * (_EXP_FLOOR + side))
+    one = np.ones((1, 1))
+    rng = _philox(5, 0)
+    hit, tau, _, _ = _first_crossing(rng, 1.0, np.ones(1), b, b, one, one,
+                                     np.zeros((1, 1), dtype=bool))
+    assert not hit[0] and tau.size == 0
+    assert rng.random() == _philox(5, 0).random(draws + 1)[-1]
+
+
 def test_laplace_estimators_name_their_passage():
     # the shared Laplace helper words the shortfall per estimator
     cfg = MCConfig(dt=1e-3, paths=50, horizon=0.01, seed=2)
@@ -472,6 +490,30 @@ def test_auto_cutoff_matches_brentq(law, sigma2, dt):
         want = max(want, min(skew, 1.0))
     m = LevyModel(gamma=1.0, sigma2=sigma2, jumps=law)
     assert abs(_plan(m, MCConfig(dt=dt, paths=1)).cutoff - want) <= 1e-14
+
+
+def test_auto_cutoff_is_bisected_once_per_key(monkeypatch):
+    # a second plan on the same (jumps, sigma2, dt) bisects nothing and is
+    # the same plan, bitwise; a cutoff outside the bracket raises each time
+    from levyfluct import montecarlo
+
+    m = LevyModel(gamma=1.0, sigma2=0.5,
+                  jumps=TemperedStableJumps(alpha=1.5, scale=1.0, tempering=1.0))
+    cfg = MCConfig(dt=1e-2, paths=1)
+    calls = []
+    bisect = montecarlo._log_bisect
+    monkeypatch.setattr(montecarlo, "_log_bisect",
+                        lambda *args: calls.append(args) or bisect(*args))
+    montecarlo._auto_cutoff.cache_clear()
+    first = montecarlo._plan(m, cfg)
+    assert len(calls) == 2
+    again = montecarlo._plan(m, replace(cfg, paths=50, seed=3))
+    assert len(calls) == 2 and again == first
+    assert first.cutoff == montecarlo._auto_cutoff.__wrapped__(m.jumps, m.sigma2, cfg.dt)
+    far = LevyModel(gamma=1.0, sigma2=0.5, jumps=StableJumps(alpha=1.5, scale=1e-30))
+    for _ in range(2):
+        with pytest.raises(BadConfigError, match="small_jump_cutoff"):
+            montecarlo._plan(far, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +718,26 @@ def test_no_crossing_after_own_horizon(model):
     assert np.all(tau[crossed] <= stop[crossed])
     short = stop < 0.5
     assert crossed[short].any() and crossed[~short].any()
+
+
+def test_sweep_rounds_start_short_and_at_most_double(monkeypatch):
+    # 4,000 paths could take 16 epochs each in one round; the first round
+    # takes at most 8, each later one at most twice the one before, and
+    # every round stays within the event budget
+    from levyfluct import montecarlo
+    from levyfluct.montecarlo import _ROUND_EVENTS, _philox, _plan, _sweep_block
+
+    plan = _plan(stable_sn(), MCConfig(dt=1e-2, paths=1))
+    shapes = []
+    first_crossing = montecarlo._first_crossing
+
+    def record(rng, sig2, x0, post, *rest):
+        shapes.append(post.shape)
+        return first_crossing(rng, sig2, x0, post, *rest)
+
+    monkeypatch.setattr(montecarlo, "_first_crossing", record)
+    _sweep_block(plan, _philox(2, 0), 4000, 1.0, 5.0)
+    ks = [k for k, _ in shapes]
+    assert ks[0] <= 8 and max(ks) > 8
+    assert all(later <= 2 * k for k, later in zip(ks, ks[1:]))
+    assert all(k * r <= _ROUND_EVENTS for k, r in shapes)
