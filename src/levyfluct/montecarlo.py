@@ -371,7 +371,7 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
     crossing) and whether a jump made it.
     """
 
-    cont = pre <= 0.0
+    cont = np.less_equal(pre, 0.0, order="C")
     if sig2 > 0.0:
         # bridge exponent -2 a b / (sigma^2 d), built in one buffer
         expo = np.empty(post.shape)
@@ -381,10 +381,12 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
         expo *= -2.0 / sig2
         with np.errstate(divide="ignore", invalid="ignore"):
             expo /= span
-        # spans at or below the floor cannot cross (see _EXP_FLOOR)
-        live = expo > _EXP_FLOOR
+        # spans at or below the floor cannot cross (see _EXP_FLOOR); flat
+        # indices into the C-ordered arrays select several times faster
+        # than a 2-D mask
+        live = np.flatnonzero(expo > _EXP_FLOOR)
         with np.errstate(over="ignore"):
-            cont[live] |= rng.random(int(live.sum())) < np.exp(expo[live])
+            cont.ravel()[live] |= rng.random(live.size) < np.exp(expo.ravel()[live])
     jump = is_jump & (post < 0.0) & ~cont
     event = cont | jump
     hit = event.any(axis=0)
@@ -570,7 +572,8 @@ def _sweep_block(plan, rng, m, start, horizon):
         if plan.rate > 0.0:
             if clipped:
                 jumps = np.zeros((k, r))
-                jumps[is_jump] = plan.sample_jumps(rng, int(is_jump.sum()))
+                at = np.flatnonzero(is_jump)
+                jumps.ravel()[at] = plan.sample_jumps(rng, at.size)
             else:
                 jumps = plan.sample_jumps(rng, k * r).reshape(k, r)
             jumps *= plan.jump_sign
