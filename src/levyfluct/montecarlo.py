@@ -25,10 +25,12 @@ T0 = 5/q and is then killed at rate q, so it stops at min(horizon, T0 +
 E/q), E ~ Exp(1), and a crossing scores exp(-q min(tau, T0)).  The mean
 is exactly the discounted passage before the horizon, with no cap.
 
-Randomness is counter-based (Philox).  ``simulate_path`` keys a stream
-by (seed, streamIndex); the sweeps key one stream per block of paths
-and fold block statistics in index order, so estimates are pure
-functions of (model, config) regardless of scheduling.
+Randomness comes from numpy's SFC64 bit generator, one independent
+stream per (seed, index), keyed through the spawn key of a
+``SeedSequence``.  ``simulate_path`` takes its index from the caller;
+the sweeps key one stream per block of paths and fold block statistics
+in index order, so estimates are pure functions of (model, config)
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -334,9 +336,11 @@ def _resolve_horizon(model, config, units=50.0):
     return units / abs(mean)
 
 
-def _philox(seed, stream):
-    key = (int(seed) << 64) | (int(stream) & _U64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed, index):
+    # the index-th independent stream of a seed: numpy's spawn keys of a
+    # SeedSequence drive the fast SFC64 bit generator
+    key = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _blocks(config):
@@ -418,7 +422,8 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
 def simulate_path(model, config, stream_index, level=None):
     """Simulate one path from 0 on the grid of step ``config.dt``.
 
-    Deterministic given (config.seed, stream_index).  The jump epochs are
+    Deterministic given (config.seed, stream_index), an integer in [0,
+    2**64) that names an independent stream.  The jump epochs are
     a Poisson count of sorted uniform times; they and the grid times form
     one event grid, and each span between events gets one exact Gaussian
     increment, so the grid values are exact.  When ``level`` is given (a
@@ -429,12 +434,16 @@ def simulate_path(model, config, stream_index, level=None):
 
     if not isinstance(model, LevyModel):
         raise BadParameterError("simulate_path needs a LevyModel")
+    if (isinstance(stream_index, bool) or not isinstance(stream_index, (int, np.integer))
+            or not 0 <= stream_index <= _U64):
+        raise BadParameterError(
+            f"stream_index must be an integer in [0, 2**64), got {stream_index!r}")
     level = None if level is None else float(level)
     if level is not None and not (math.isfinite(level) and level < 0.0):
         raise BadParameterError(f"watched level must be finite and below 0, got {level}")
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
-    rng = _philox(config.seed, stream_index)
+    rng = _stream(config.seed, stream_index)
     n = int(round(horizon / config.dt))
     times = np.arange(n + 1) * config.dt
     if plan.rate > 0.0:
@@ -641,7 +650,7 @@ def _estimate(plan, config, start, horizon, score, kill=None):
     # first from the block's stream.  returns (n, mean, m2, crossings)
     n, mean, m2, crossings = 0, 0.0, 0.0, 0
     for index, size in _blocks(config):
-        rng = _philox(config.seed, index)
+        rng = _stream(config.seed, index)
         stop = horizon
         if kill is not None:
             clock = (_DISCOUNT_CLOCK + rng.standard_exponential(size)) / kill
@@ -794,7 +803,7 @@ def sample_terminal(model, config):
     plan = _plan(model, config)
     out = []
     for index, size in _blocks(config):
-        rng = _philox(config.seed, index)
+        rng = _stream(config.seed, index)
         x = np.full(size, plan.drift * horizon)
         if plan.sigma > 0.0:
             x += plan.sigma * math.sqrt(horizon) * rng.standard_normal(size)

@@ -57,7 +57,7 @@ def test_config_rejects_bad_fields():
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
 def test_config_rejects_seed_outside_philox_key(seed):
-    # the stream key holds 64 bits of seed; 2**64 + 5 would share seed 5's paths
+    # a seed outside [0, 2**64) is refused, not folded into that range
     with pytest.raises(BadConfigError, match="seed"):
         MCConfig(dt=1e-3, paths=100, seed=seed)
 
@@ -107,6 +107,39 @@ def test_path_reproducible_by_stream():
     assert np.array_equal(p1.jump_sizes, p2.jump_sizes)
     p3 = simulate_path(model_b(), cfg, stream_index=6)
     assert not np.array_equal(p1.values, p3.values)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 5, 1.5, 1.0, True, np.float64(2.0)])
+def test_path_rejects_stream_index_outside_the_keys(index):
+    # -1 would alias 2**64 - 1, 2**64 + 5 would alias 5 and 1.5 would alias 1
+    cfg = MCConfig(dt=1e-2, paths=1, horizon=1.0, seed=7)
+    with pytest.raises(BadParameterError, match="stream_index"):
+        simulate_path(model_b(), cfg, index)
+
+
+@pytest.mark.parametrize("index", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_path_accepts_stream_index_at_the_key_ends(index):
+    cfg = MCConfig(dt=1e-2, paths=1, horizon=1.0, seed=7)
+    assert simulate_path(model_b(), cfg, index).values.size == 101
+
+
+def test_streams_are_distinct_and_repeat_bitwise():
+    from levyfluct.montecarlo import _stream
+
+    keys = [(s, b) for s in (0, 1, 2**64 - 1) for b in (0, 1, 2)]
+    first = {key: _stream(*key).random(4) for key in keys}
+    for key in keys:
+        assert np.array_equal(_stream(*key).random(4), first[key])
+    draws = {float(v[0]) for v in first.values()}
+    assert len(draws) == len(keys)
+
+
+def test_stream_uniforms_lie_on_the_grain():
+    # the premise of _EXP_FLOOR: every uniform is a multiple of 2**-53
+    from levyfluct.montecarlo import _stream
+
+    u = _stream(3, 1).random(4096) * 2.0**53
+    assert np.array_equal(u, np.floor(u))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +332,7 @@ def test_zero_spread_leaves_z_undefined():
 def test_sweeps_cover_every_path_in_block_order():
     # one sweep per block, sizes summing to config.paths, each block the
     # same as a sweep run alone on that block's stream
-    from levyfluct.montecarlo import _BLOCK_PATHS, _estimate, _philox, _plan, _sweep_block
+    from levyfluct.montecarlo import _BLOCK_PATHS, _estimate, _plan, _stream, _sweep_block
 
     m = model_b()
     cfg = MCConfig(dt=2e-3, paths=_BLOCK_PATHS + 7, horizon=1.0, seed=4)
@@ -313,7 +346,7 @@ def test_sweeps_cover_every_path_in_block_order():
     n, _, _, crossings = _estimate(plan, cfg, 1.0, 1.0, score)
     assert [b[0].size for b in blocks] == [_BLOCK_PATHS, 7]
     assert n == cfg.paths and crossings == sum(int(b[0].sum()) for b in blocks)
-    alone = _sweep_block(plan, _philox(cfg.seed, 1), 7, 1.0, 1.0)
+    alone = _sweep_block(plan, _stream(cfg.seed, 1), 7, 1.0, 1.0)
     for got, want in zip(blocks[1], alone):
         np.testing.assert_array_equal(got, want)
 
@@ -350,16 +383,16 @@ def test_first_crossing_draws_no_uniform_below_the_grain(side, draws):
     # exponent -2b exactly.  just below ln(2**-53) it cannot cross and
     # draws no uniform, so the stream goes on as a fresh one; just above
     # it draws exactly one
-    from levyfluct.montecarlo import _EXP_FLOOR, _first_crossing, _philox
+    from levyfluct.montecarlo import _EXP_FLOOR, _first_crossing, _stream
 
     assert _EXP_FLOOR == -53.0 * math.log(2.0)
     b = np.full((1, 1), -0.5 * (_EXP_FLOOR + side))
     one = np.ones((1, 1))
-    rng = _philox(5, 0)
+    rng = _stream(5, 0)
     hit, tau, _, _ = _first_crossing(rng, 1.0, np.ones(1), b, b, one, one,
                                      np.zeros((1, 1), dtype=bool))
     assert not hit[0] and tau.size == 0
-    assert rng.random() == _philox(5, 0).random(draws + 1)[-1]
+    assert rng.random() == _stream(5, 0).random(draws + 1)[-1]
 
 
 def test_laplace_estimators_name_their_passage():
@@ -379,7 +412,7 @@ def test_closure_still_sees_a_wrong_drift():
         _CLOSURE_HORIZON, _estimate, _finish, _plan, _resolve_horizon)
 
     m = LevyModel(gamma=2.0, sigma2=1.0, jumps=ExpJumps(rate=1.0, jump_rate=2.0))
-    cfg = MCConfig(dt=1e-2, paths=4000, seed=0)
+    cfg = MCConfig(dt=1e-2, paths=16000, seed=0)
     engine = make_engine(m)
     target = fluctuation.survival_probability(engine, 1.0)
     plan = _plan(m, cfg)
@@ -694,12 +727,12 @@ def test_discount_clock_still_sees_a_wrong_drift():
 
 def test_scalar_horizon_broadcasts_bitwise():
     # a scalar horizon and the same value for every path run one sweep
-    from levyfluct.montecarlo import _philox, _plan, _sweep_block
+    from levyfluct.montecarlo import _plan, _stream, _sweep_block
 
     m = model_b()
     plan = _plan(m, MCConfig(dt=1e-2, paths=1))
-    scalar = _sweep_block(plan, _philox(9, 0), 3000, 1.0, 4.0)
-    array = _sweep_block(plan, _philox(9, 0), 3000, 1.0, np.full(3000, 4.0))
+    scalar = _sweep_block(plan, _stream(9, 0), 3000, 1.0, 4.0)
+    array = _sweep_block(plan, _stream(9, 0), 3000, 1.0, np.full(3000, 4.0))
     for got, want in zip(array, scalar):
         np.testing.assert_array_equal(got, want)
 
@@ -708,11 +741,11 @@ def test_scalar_horizon_broadcasts_bitwise():
 def test_no_crossing_after_own_horizon(model):
     # per-path horizons spread over two orders of magnitude: each crossing
     # falls inside its own path's horizon, and so do some of both kinds
-    from levyfluct.montecarlo import _philox, _plan, _sweep_block
+    from levyfluct.montecarlo import _plan, _stream, _sweep_block
 
     plan = _plan(model, MCConfig(dt=1e-2, paths=1))
     stop = np.geomspace(0.05, 5.0, 4000)
-    crossed, tau, _, _, _ = _sweep_block(plan, _philox(3, 0), stop.size, 1.0, stop)
+    crossed, tau, _, _, _ = _sweep_block(plan, _stream(3, 0), stop.size, 1.0, stop)
     assert 0 < crossed.sum() < stop.size
     assert np.all(tau[crossed] > 0.0)
     assert np.all(tau[crossed] <= stop[crossed])
@@ -725,7 +758,7 @@ def test_sweep_rounds_start_short_and_at_most_double(monkeypatch):
     # takes at most 8, each later one at most twice the one before, and
     # every round stays within the event budget
     from levyfluct import montecarlo
-    from levyfluct.montecarlo import _ROUND_EVENTS, _philox, _plan, _sweep_block
+    from levyfluct.montecarlo import _ROUND_EVENTS, _plan, _stream, _sweep_block
 
     plan = _plan(stable_sn(), MCConfig(dt=1e-2, paths=1))
     shapes = []
@@ -736,7 +769,7 @@ def test_sweep_rounds_start_short_and_at_most_double(monkeypatch):
         return first_crossing(rng, sig2, x0, post, *rest)
 
     monkeypatch.setattr(montecarlo, "_first_crossing", record)
-    _sweep_block(plan, _philox(2, 0), 4000, 1.0, 5.0)
+    _sweep_block(plan, _stream(2, 0), 4000, 1.0, 5.0)
     ks = [k for k, _ in shapes]
     assert ks[0] <= 8 and max(ks) > 8
     assert all(later <= 2 * k for k, later in zip(ks, ks[1:]))
