@@ -20,18 +20,15 @@ from .errors import (
     WrongRegimeError,
 )
 from .excursion import (
-    decomposition_residual,
     dual_lifetime_masses,
     entrance_constants,
     entrance_law_laplace,
     intensity_cross_after,
     intensity_cross_before,
-    intensity_cross_before_infinite,
     intensity_negative_start,
     intensity_stay_positive,
     intensity_table,
     intensity_total,
-    intensity_total_infinite,
     intensity_upper_creep,
     inverse_local_time,
     occupation_overshoot_identity,
@@ -73,7 +70,6 @@ from .montecarlo import (
     simulate_path,
 )
 from .scale import (
-    ScaleConfig,
     ScaleEngine,
     laplace_roundtrip,
     make_engine,

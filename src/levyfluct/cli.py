@@ -25,6 +25,7 @@ from .errors import (
     BoundedVariationError,
     LevyFluctError,
     ModelFormatError,
+    _check_arg,
 )
 from .model import _as_number, parse_model
 from .scale import make_engine
@@ -94,6 +95,14 @@ def _stamp(args, payload):
     return payload
 
 
+def _tolerance(text):
+    """Parse a tolerance: a finite number >= 0, so a report never holds NaN."""
+    try:
+        return _check_arg("tolerance", float(text), strict=False)
+    except ValueError as exc:  # BadParameterError is one too
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _tol_pair(pair):
     """Parse one NAME=VALUE tolerance override at argument-parsing time."""
     name, _, value = pair.partition("=")
@@ -101,10 +110,7 @@ def _tol_pair(pair):
         raise argparse.ArgumentTypeError(
             f"unknown check {name!r}; see levyfluct.validation.TOLERANCES"
         )
-    try:
-        return name, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{pair!r}: bad value")
+    return name, _tolerance(value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +372,7 @@ def _build_parser():
     common(p)
     p.add_argument("--betas", type=_float_list,
                    default=[0.1, 0.5, 2.5, 10.0])
-    p.add_argument("--tolerance", type=float, default=1e-6,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-6,
                    help="relative residual bound deciding the exit code")
     p.set_defaults(func=cmd_intensity_table)
 

@@ -87,16 +87,21 @@ class InsufficientCrossings(LevyFluctError, RuntimeError):
     """Too few Monte Carlo paths realised the conditioning event."""
 
 
-def _check_arg(name, value, bound=0.0, strict=True):
+def _check_arg(name, value, bound=0.0, strict=True, points=False):
     """A public level, rate or point: finite and > bound (>= when not strict).
 
-    value is a float, or a numpy array of points checked at every point;
-    it comes back as a float or a float array.  bound = -inf asks only
-    for finiteness.
+    value is a number, and comes back as a float.  Where the call site
+    takes points (points=True) it may also be a numpy array, checked at
+    every point and returned as a float array; elsewhere an array of
+    ndim >= 1 is rejected and a 0-d array counts as a number.
+    bound = -inf asks only for finiteness.
     """
     # a float skips the array test, which costs as much as the check itself
     if type(value) is not float:
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and value.ndim and not points:
+            raise BadParameterError(
+                f"{name} must be one number, got an array of shape {value.shape}")
+        if isinstance(value, np.ndarray) and points:
             value = np.asarray(value, dtype=float)
             ok = np.isfinite(value) & ((value > bound) if strict else (value >= bound))
             if not ok.all():

@@ -7,7 +7,8 @@ its right inverse phi, and the jump tail.  This module evaluates:
 
 * the killed-lifetime intensities n(zeta > e_beta) and the partition of
   that event by how the excursion first goes negative (never / at the
-  start / by a jump before or after e_beta / by creeping),
+  start / by a jump before or after e_beta / by creeping); beta = 0
+  gives the unkilled masses of the total and the jump crossing,
 * the normalizing constants of the entrance laws conditioned on the sign
   behaviour at the start of the excursion,
 * Laplace functionals of the entrance law, up to the local-time
@@ -58,14 +59,11 @@ __all__ = [
     "EntranceLaw",
     "OvershootMass",
     "intensity_total",
-    "intensity_total_infinite",
     "intensity_upper_creep",
     "intensity_stay_positive",
     "intensity_cross_before",
-    "intensity_cross_before_infinite",
     "intensity_negative_start",
     "intensity_cross_after",
-    "decomposition_residual",
     "intensity_table",
     "dual_lifetime_masses",
     "entrance_constants",
@@ -145,13 +143,11 @@ def _lifetime_rate(engine, beta):
 
 
 def intensity_total(engine, beta):
-    """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta))."""
-    return _lifetime_rate(engine, _check_arg("beta", beta))
+    """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta)), for beta >= 0.
 
-
-def intensity_total_infinite(engine):
-    """n(zeta = inf) = psi'(phi(0)+); zero for an oscillating model."""
-    return _lifetime_rate(engine, 0.0)
+    beta = 0 gives n(zeta = inf) = psi'(phi(0)+), zero when oscillating.
+    """
+    return _lifetime_rate(engine, _check_arg("beta", beta, strict=False))
 
 
 def intensity_upper_creep(engine, beta):
@@ -170,26 +166,19 @@ def intensity_stay_positive(engine):
     return max(engine.model.mean, 0.0)
 
 
-def _cross_before(engine, beta):
-    # phi(beta) * tail moment at phi(beta), for beta >= 0
+def intensity_cross_before(engine, beta):
+    """n(0 < tau0minus < e_beta < zeta): goes negative by a jump, then survives.
+
+    phi(beta) * integral_0^inf exp(-phi(beta)*u) * u * pitail(u) du, for
+    beta >= 0.  beta = 0 gives the same event with zeta = inf, nonzero
+    only when drifting to -inf.
+    """
+    beta = _check_arg("beta", beta, strict=False)
     m = engine.model
     phib = m.phi(beta)
     if phib == 0.0:
         return 0.0
     return float(phib * m.jumps.tail_moment(phib))
-
-
-def intensity_cross_before(engine, beta):
-    """n(0 < tau0minus < e_beta < zeta): goes negative by a jump, then survives.
-
-    phi(beta) * integral_0^inf exp(-phi(beta)*u) * u * pitail(u) du.
-    """
-    return _cross_before(engine, _check_arg("beta", beta))
-
-
-def intensity_cross_before_infinite(engine):
-    """Same event with zeta = inf; nonzero only when drifting to -inf."""
-    return _cross_before(engine, 0.0)
 
 
 def intensity_negative_start(engine, beta):
@@ -255,18 +244,14 @@ def _quadrature_residual(engine, table):
                           + table.stay_positive_forever + after)
 
 
-def decomposition_residual(engine, beta):
-    """Total mass minus the partition by first-negative behaviour.
-
-    Vanishes up to rounding, since every part is closed-form; reported,
-    not raised, so the validation layer can assert it at its own
-    tolerance.
-    """
-    return intensity_table(engine, beta).residual
-
-
 def intensity_table(engine, beta):
-    """Assemble every intensity of one model at one killing rate."""
+    """Assemble every intensity of one model at one killing rate beta > 0.
+
+    ``residual`` is the total mass minus the partition by first-negative
+    behaviour.  It vanishes up to rounding, since every part is
+    closed-form; it is reported, not raised, so the validation layer can
+    assert it at its own tolerance.
+    """
     beta = _check_arg("beta", beta)
     neg = intensity_negative_start(engine, beta)
     total = intensity_total(engine, beta)

@@ -20,14 +20,13 @@ turn cancel against phi'(beta) and W itself is the better-conditioned
 term.
 
 The g-family collects the harmonic-minorant weights used to condition
-the process on sign behaviour; their beta -> 0 limits are taken in
-closed form, never numerically.
+the process on sign behaviour; their beta -> 0 limits are the same
+functions at beta = 0, taken in closed form, never numerically.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +60,7 @@ def resolvent_density(engine, q, y):
     y may be a float or a numpy array; the result has the same form.
     """
     q = _check_arg("q", q)
-    y = _check_arg("y", y, -math.inf)
+    y = _check_arg("y", y, -math.inf, points=True)
     m = engine.model
     if not isinstance(y, np.ndarray):
         if y >= 0.0:
@@ -114,7 +113,7 @@ def passage_below_laplace(engine, beta, y):
     subtracting.
     """
     beta = _check_arg("beta", beta)
-    y = _check_arg("y", y)
+    y = _check_arg("y", y, points=True)
     m = engine.model
     phib = float(m.phi(beta))
     return engine.z_minus_leading(beta, y) - (beta / phib) * engine.w_minus_leading(
@@ -130,7 +129,7 @@ def creeping_probability(engine, x):
     engine's error estimate shows up in tests instead of being hidden.
     x may be a float or a numpy array; the result has the same form.
     """
-    x = _check_arg("x", x)
+    x = _check_arg("x", x, points=True)
     m = engine.model
     if m.sigma2 == 0.0:
         return 0.0 * x
@@ -143,14 +142,14 @@ def survival_probability(engine, x):
 
     x may be a float or a numpy array; the result has the same form.
     """
-    x = _check_arg("x", x)
+    x = _check_arg("x", x, points=True)
     mean = engine.model.mean
     if mean <= 0.0:
         return 0.0 * x
     return mean * engine.w(0.0, x)
 
 
-def kernel_K(engine, beta, x, f, deadline=None):
+def kernel_K(engine, beta, x, f):
     """Jump kernel K_beta f(x) moving mass from (0, inf) across 0.
 
     K_beta f(x) = int_0^inf dy (exp(-phi(beta) y) W^(beta)(x) -
@@ -164,8 +163,6 @@ def kernel_K(engine, beta, x, f, deadline=None):
     f is called as f(y, w) on two 1-D numpy arrays of the same size, the
     levels before and after the jump, and returns their values or a
     constant that broadcasts against them.
-
-    ``deadline`` (seconds) cooperatively cancels a long evaluation.
     """
     beta = _check_arg("beta", beta, strict=False)
     x = _check_arg("x", x)
@@ -175,11 +172,8 @@ def kernel_K(engine, beta, x, f, deadline=None):
     phib = float(m.phi(beta))
     wx = engine.w(beta, x)
     hint = _tail_decay_hint(m.jumps)
-    stop = None if deadline is None else time.monotonic() + float(deadline)
 
     def tail_f(y):
-        if stop is not None and time.monotonic() > stop:
-            raise QuadratureFailure("kernel quadrature hit its cooperative deadline")
         return integrate_semiinfinite(
             lambda s: m.jumps.density(y + s) * f(np.full(s.shape, y), -s),
             a=0.0,
@@ -258,13 +252,13 @@ def constant_A(engine):
 class GFamily:
     """Pointwise evaluators of the conditioning weights and the constant A.
 
+    The unkilled weight g_minus is ``g_minus_beta`` at beta = 0.
     ``g_tilde_infinite`` flags the drift-to--inf case where the tilde
     weight degenerates; the evaluator then returns math.inf rather than
     a large float, so consumers must branch on the flag.
     """
 
     g: Callable[[float], float]
-    g_minus: Callable[[float], float]
     g_plus: Callable[[float], float]
     g_tilde: Callable[[float], float]
     g_minus_beta: Callable[[float, float], float]
@@ -283,10 +277,11 @@ def g_family(engine):
     """Build the weight family of one model.
 
     g(x) = (1 - exp(phi(0) x))/phi(0), with the explicit branch g(x) = -x
-    when phi(0) = 0 (no numeric 0/0 limit).  g_minus is its restriction
-    to x < 0 and g_plus(x) = W(x) on x >= 0.  g_minus_beta(beta, x) is
-    the killed analogue (1 - exp(x phi(beta)))/phi(beta), nondecreasing
-    as beta decreases, with limit g_minus.  g_tilde follows the
+    when phi(0) = 0 (no numeric 0/0 limit), and g_plus(x) = W(x) on
+    x >= 0.  g_minus_beta(beta, x) is the killed weight
+    (1 - exp(x phi(beta)))/phi(beta) on x < 0, nondecreasing as beta
+    decreases; beta = 0 gives its limit g_minus, the restriction of g to
+    x < 0.  g_tilde follows the
     three-way split on the sign of the mean, with the infinite-variance
     oscillating case collapsing the linear term to zero.
     """
@@ -298,14 +293,8 @@ def g_family(engine):
     def g(x):
         return _g_weight(phi0, _check_arg("x", x, -math.inf))
 
-    def g_minus(x):
-        x = float(x)
-        if x >= 0.0:
-            raise BadParameterError("g_minus is defined on x < 0")
-        return g(x)
-
     def g_plus(x):
-        return engine.w(0.0, _check_arg("x", x, strict=False))
+        return engine.w(0.0, _check_arg("x", x, strict=False, points=True))
 
     def g_minus_beta(beta, x):
         x = _check_arg("x", x, -math.inf)
@@ -323,7 +312,6 @@ def g_family(engine):
 
     return GFamily(
         g=g,
-        g_minus=g_minus,
         g_plus=g_plus,
         g_tilde=g_tilde,
         g_minus_beta=g_minus_beta,

@@ -475,7 +475,7 @@ class LevyModel:
 
     def pi_tail(self, x):
         """Mass of jumps below -x, for x > 0."""
-        return _maybe_scalar(self.jumps.tail(_check_arg("pi_tail: x", x)), x)
+        return _maybe_scalar(self.jumps.tail(_check_arg("pi_tail: x", x, points=True)), x)
 
     def ladder_exponent(self, lam):
         """Descending ladder height exponent kappa_hat(lam) = psi(lam)/(lam - phi(0)).
@@ -484,7 +484,7 @@ class LevyModel:
         neighbourhood of it the Taylor expansion
         psi'(phi0) + psi''(phi0)*(lam - phi0)/2 is used instead of the ratio.
         """
-        arr = _check_arg("ladder_exponent: lam", lam, strict=False)
+        arr = _check_arg("ladder_exponent: lam", lam, strict=False, points=True)
         phi0 = self.phi(0.0)
         gap = arr - phi0
         near = np.abs(gap) <= 1e-9 * (1.0 + phi0)

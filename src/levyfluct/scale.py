@@ -5,16 +5,16 @@ The engine evaluates the functions defined through the transform
     integral_0^inf exp(-lam*x) W^(q)(x) dx = 1/(psi(lam) - q),   lam > phi(q),
 
 together with Z^(q)(x) = 1 + q * integral_0^x W^(q)(y) dy.  Two routes
-are implemented, selected by ``ScaleConfig.method``:
+are implemented, and the model selects one (``ScaleEngine.closed_kind``):
 
-closed form (``auto``, where the family has one)
+closed form (where the family has one)
     Rational exponents (Brownian motion, compound Poisson with
     exponential jumps) via partial fractions of 1/(psi - q); the double
     pole of the oscillating q = 0 case produces an x*exp(p*x) term.
     The pure stable exponent scale*lam**alpha goes through the
     Mittag-Leffler function instead.
 
-``contour`` (``auto`` for every other model)
+contour (every other model)
     Numerical inversion of the transform on a deformed Bromwich contour
     shifted right of phi(q): the fixed-Talbot rule with 32 nodes, checked
     against the rule with 24 nodes.  The shift above phi(q) is tapered
@@ -22,7 +22,8 @@ closed form (``auto``, where the family has one)
     so any roundoff on the contour is amplified by that factor and a
     constant shift would lose six digits by x = 10.  The shift, like
     Talbot's r, is set at the point's anchor, the centre of its cell
-    among 16 geometric cells per octave (``_cells``).
+    among 16 geometric cells per octave (``_cells``).  ``_contour`` is
+    also the reference the closed forms are checked against.
 
 The resolvent identity W^(q)(x) - W(x) = q * integral_0^x W(x-y) W^(q)(y) dy,
 with W = W^(0), is not a route but an oracle on how W^(q) depends on q,
@@ -73,7 +74,6 @@ import numpy as np
 from ._quadrature import integrate_finite, integrate_graded
 from ._special import _rgamma
 from .errors import (
-    BadConfigError,
     BadParameterError,
     InversionFailure,
     WrongRegimeError,
@@ -81,7 +81,6 @@ from .errors import (
 )
 from .model import ExpJumps, NoJumps, StableJumps
 
-_METHODS = ("auto", "contour")
 _TINY = np.finfo(float).tiny
 # Talbot node count M of the contour route; 32 keeps the rule comfortably
 # inside double precision (larger M amplifies roundoff through the
@@ -89,21 +88,6 @@ _TINY = np.finfo(float).tiny
 _TALBOT_M = 32
 # largest relative gap between the M- and 3M/4-node rules at a point
 _TARGET = 1e-8
-
-
-@dataclass(frozen=True)
-class ScaleConfig:
-    """Evaluation policy for a scale-function engine.
-
-    ``method="auto"`` takes the closed form where the model has one and
-    the contour route otherwise; ``"contour"`` forces the contour route.
-    """
-
-    method: str = "auto"
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise BadConfigError(f"method: expected one of {_METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,7 @@ def mittag_leffler(a, b, z):
         raise BadParameterError(f"a must lie in (0, 2], got {a}")
     b = _check_arg("b", b, -math.inf)
     z, shape = _points(z)
-    zs = np.atleast_1d(_check_arg("z", z, strict=False))
+    zs = np.atleast_1d(_check_arg("z", z, strict=False, points=True))
     series = zs <= 80.0
     if series.all():
         out = _ml_series_sum(a, b, zs)
@@ -314,11 +298,8 @@ def _not_finite(method, kind, q, x):
 class ScaleEngine:
     """Evaluator for W^(q), its derivative, and Z^(q) under one model."""
 
-    def __init__(self, model, config=None):
+    def __init__(self, model):
         self.model = model
-        self.config = config if config is not None else ScaleConfig()
-        if not isinstance(self.config, ScaleConfig):
-            raise BadConfigError("config: expected a ScaleConfig")
         self._rational_cache = {}
 
     # -- routing ------------------------------------------------------------
@@ -331,9 +312,6 @@ class ScaleEngine:
         if isinstance(j, StableJumps) and self.model.gamma == 0.0 and self.model.sigma2 == 0.0:
             return "stable"
         return None
-
-    def phi(self, q):
-        return self.model.phi(q)
 
     # -- public evaluation ----------------------------------------------------
 
@@ -397,7 +375,7 @@ class ScaleEngine:
 
     def _evaluate(self, q, x, kind):
         # x > 0 throughout
-        if self.config.method == "auto" and self.closed_kind:
+        if self.closed_kind:
             return self._closed(q, x, kind)
         return self._contour(q, x, kind)
 
@@ -407,7 +385,7 @@ class ScaleEngine:
         # from _points
         q = _check_arg("q", q, strict=False)
         x, shape = _points(x)
-        return q, _check_arg("x", x, x_bound, strict=False), shape
+        return q, _check_arg("x", x, x_bound, strict=False, points=True), shape
 
     # -- leading-term split -----------------------------------------------------
 
@@ -612,7 +590,10 @@ class ScaleEngine:
         if kind == "z":
             v1 = 1.0 + q * v1
             v2 = 1.0 + q * v2
-        # a non-finite v1 passes here and is caught by _evaluate
+        # the self-estimate below lets NaN through
+        bad = ~np.isfinite(v1)
+        if bad.any():
+            raise _not_finite("contour", kind, q, xs[bad][0])
         size = np.abs(v1)
         est = np.abs(v1 - v2) / np.maximum(size, 1e-300)
         bad = (est > _TARGET) & (size > 1e-250)
@@ -666,8 +647,8 @@ def _residue_terms(num, den):
 # ---------------------------------------------------------------------------
 
 
-def make_engine(model, config=None):
-    return ScaleEngine(model, config)
+def make_engine(model):
+    return ScaleEngine(model)
 
 
 def w_series_check(engine, q, x):
@@ -721,7 +702,7 @@ def _integrate_on_w(model, f, decay, *, rtol, atol=1e-13):
 def laplace_roundtrip(engine, q, lam):
     """Numerically transform W^(q) back and compare with 1/(psi(lam) - q)."""
     q = _check_arg("q", q, strict=False)
-    phi_q = engine.phi(q)
+    phi_q = engine.model.phi(q)
     lam = _check_arg("lam", lam, phi_q)
     numeric = _integrate_on_w(
         engine.model, lambda y: np.exp(-lam * y) * engine.w(q, y), lam - phi_q, rtol=1e-10

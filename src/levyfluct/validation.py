@@ -19,15 +19,9 @@ import numpy as np
 
 from . import excursion, fluctuation, montecarlo
 from ._quadrature import _jump_quadrature
-from .errors import BadConfigError
+from .errors import BadConfigError, _check_arg
 from .model import NoJumps, Regime, model_to_dict
-from .scale import (
-    ScaleConfig,
-    _integrate_on_w,
-    laplace_roundtrip,
-    make_engine,
-    w_series_check,
-)
+from .scale import _integrate_on_w, laplace_roundtrip, make_engine, w_series_check
 
 __all__ = ["CheckResult", "ValidationReport", "TOLERANCES", "run_validation"]
 
@@ -254,12 +248,11 @@ def _scale_checks(engine, tol):
                       "transform of W^(q) back against 1/(psi - q)", tol))
 
     if engine.closed_kind is not None:
-        contour = make_engine(model, ScaleConfig(method="contour"))
         worst = 0.0
         xs = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
         for q in (0.0, 0.5, 2.5):
             a = engine.w(q, xs)
-            b = contour.w(q, xs)
+            b = engine._contour(q, xs, "w").value
             worst = max(worst, float(np.max(np.abs(a - b) / np.abs(a))))
         out.append(_check("scale.oracle_agreement", worst,
                           "closed form vs contour inversion, full grid", tol))
@@ -338,7 +331,7 @@ def _fluct_checks(engine, tol):
             phip = float(model.phi_prime(beta))
             ratios.append(fluctuation.h_beta(engine, beta, x) / (phi * phip))
             gvals.append(fam.g_minus_beta(beta, x))
-        ref = abs(fam.g_minus(x))
+        ref = abs(fam.g_minus_beta(0.0, x))
         for a, b in zip(ratios, ratios[1:]):
             worst_mono = max(worst_mono, (a - b) / (1.0 + ref))
         for a, b in zip(gvals, gvals[1:]):
@@ -352,9 +345,10 @@ def _fluct_checks(engine, tol):
         phi = float(model.phi(1e-8))
         phip = float(model.phi_prime(1e-8))
         ratio = fluctuation.h_beta(engine, 1e-8, x) / (phi * phip)
-        ref = abs(fam.g_minus(x))
-        worst_lim = max(worst_lim, abs(ratio - fam.g_minus(x)) / max(1.0, ref))
-        worst_g = max(worst_g, abs(fam.g_minus_beta(1e-8, x) - fam.g_minus(x)) / max(1.0, ref))
+        limit = fam.g_minus_beta(0.0, x)
+        ref = abs(limit)
+        worst_lim = max(worst_lim, abs(ratio - limit) / max(1.0, ref))
+        worst_g = max(worst_g, abs(fam.g_minus_beta(1e-8, x) - limit) / max(1.0, ref))
     out.append(_check("fluct.h_limit_value", worst_lim,
                       "h_beta/(phi phi') at beta = 1e-8 against g_minus, |x| <= 0.1", tol))
     out.append(_check("fluct.g_minus_beta_limit", worst_g,
@@ -429,9 +423,9 @@ def _excursion_checks(engine, tol):
     beta0 = 1e-13
     gaps = [
         abs(excursion.intensity_total(engine, beta0)
-            - excursion.intensity_total_infinite(engine)),
+            - excursion.intensity_total(engine, 0.0)),
         abs(excursion.intensity_cross_before(engine, beta0)
-            - excursion.intensity_cross_before_infinite(engine)),
+            - excursion.intensity_cross_before(engine, 0.0)),
         abs(excursion.intensity_negative_start(engine, beta0).total
             - 0.5 * model.sigma2 * float(model.phi(0.0))),
     ]
@@ -504,14 +498,16 @@ def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
 
     The suites run one after another, in fixed order (model, scale,
     fluctuation, excursion, then Monte Carlo when with_mc is set), so the
-    report is deterministic.
+    report is deterministic.  A tolerance override must be finite and
+    >= 0 (BadParameterError otherwise).
     """
     tol = dict(TOLERANCES)
     if tolerances:
         unknown = sorted(set(tolerances) - set(tol))
         if unknown:
             raise KeyError(f"unknown check name(s) in tolerance overrides: {unknown}")
-        tol.update(tolerances)
+        tol.update((name, _check_arg(name, value, strict=False))
+                   for name, value in tolerances.items())
     engine = make_engine(model)
 
     checks = (_model_checks(model, tol) + _scale_checks(engine, tol)

@@ -15,9 +15,7 @@ import pytest
 
 from levyfluct import (
     MCConfig,
-    ScaleConfig,
     constant_A,
-    decomposition_residual,
     estimate_creeping,
     estimate_passage_below_laplace,
     estimate_survival,
@@ -25,11 +23,9 @@ from levyfluct import (
     g_family,
     h_beta,
     intensity_cross_before,
-    intensity_cross_before_infinite,
     intensity_negative_start,
     intensity_table,
     intensity_total,
-    intensity_total_infinite,
     laplace_roundtrip,
     make_engine,
     w_series_check,
@@ -74,7 +70,7 @@ def test_criterion_1_intensity_decomposition():
     for make in (bm, lambda: bm(1.0), lambda: bm(-1.0), stable_sn):
         engine = make_engine(make())
         for beta in (0.1, 0.5, 2.5, 10.0):
-            rel = abs(decomposition_residual(engine, beta)) / intensity_total(engine, beta)
+            rel = abs(intensity_table(engine, beta).residual) / intensity_total(engine, beta)
             worst_rel = max(worst_rel, rel)
     elapsed = time.monotonic() - t0
     ok = ok and worst_rel <= 1e-6 and elapsed < 5.0
@@ -95,11 +91,10 @@ def test_criterion_2_scale_oracle_triangle():
     worst_inv = 0.0
     for make in makers:
         closed = make_engine(make())
-        contour = make_engine(make(), ScaleConfig(method="contour"))
         for q in (0.0, 0.5, 2.5):
             for x in np.geomspace(0.01, 10.0, 13):
                 a = closed.w(q, float(x))
-                b = contour.w(q, float(x))
+                b = float(closed._contour(q, float(x), "w").value)
                 worst_inv = max(worst_inv, abs(b - a) / max(abs(a), 1e-12))
 
     worst_series = 0.0
@@ -241,7 +236,7 @@ def test_criterion_6_limits():
             ladder = [fam.g_minus_beta(b, x)
                       for b in (10.0, 2.5, 0.5, 0.1, 1e-2, 1e-4, 1e-8)]
             mono_ok &= all(b >= a - 1e-14 for a, b in zip(ladder, ladder[1:]))
-            limit = fam.g_minus(x)
+            limit = fam.g_minus_beta(0.0, x)
             worst_g = max(worst_g, abs(ladder[-1] - limit) / max(1.0, abs(limit)))
 
     # constant A against its per-regime case value
@@ -267,9 +262,9 @@ def test_criterion_6_limits():
         engine = make_engine(m)
         worst_zeta = max(
             worst_zeta,
-            abs(intensity_total(engine, beta0) - intensity_total_infinite(engine)),
+            abs(intensity_total(engine, beta0) - intensity_total(engine, 0.0)),
             abs(intensity_cross_before(engine, beta0)
-                - intensity_cross_before_infinite(engine)),
+                - intensity_cross_before(engine, 0.0)),
             abs(intensity_negative_start(engine, beta0).total
                 - 0.5 * m.sigma2 * float(m.phi(0.0))),
         )

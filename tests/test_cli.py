@@ -33,6 +33,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def parse_report(text):
+    # json.loads accepts the NaN and Infinity that json.dumps writes; JSON
+    # itself does not
+    return json.loads(text, parse_constant=_no_constant)
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -42,7 +52,7 @@ def test_validate_green_exits_zero(model_files, capsys):
     code, out, _ = run_cli(capsys, "validate", "--model", model_files["b"],
                            "--deterministic")
     assert code == 0
-    report = json.loads(out)
+    report = parse_report(out)
     assert report["schema"] == "levy-fluct/1"
     assert report["summary"]["failed"] == 0
     assert "generatedAt" not in report
@@ -52,7 +62,7 @@ def test_validate_failure_exits_one(model_files, capsys):
     code, out, _ = run_cli(capsys, "validate", "--model", model_files["bm"],
                            "--tol", "model.phi_inverse=1e-30", "--deterministic")
     assert code == 1
-    assert json.loads(out)["summary"]["failed"] == 1
+    assert parse_report(out)["summary"]["failed"] == 1
 
 
 def test_validate_unknown_tolerance_is_usage_error(model_files, capsys):
@@ -61,10 +71,33 @@ def test_validate_unknown_tolerance_is_usage_error(model_files, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_validate_rejects_tolerance_that_is_not_finite_and_nonnegative(model_files, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--model", model_files["bm"], "--tol", f"scale.monotone={value}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_intensity_table_rejects_tolerance_that_is_not_finite_and_nonnegative(
+        model_files, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["intensity-table", "--model", model_files["b"], "--tolerance", value])
+    assert exc.value.code == 2
+
+
+def test_zero_tolerance_is_accepted(model_files, capsys):
+    code, out, _ = run_cli(capsys, "validate", "--model", model_files["bm"],
+                           "--tol", "scale.monotone=0", "--deterministic")
+    assert code == 0
+    checks = {c["name"]: c for c in parse_report(out)["checks"]}
+    assert checks["scale.monotone"]["tolerance"] == 0.0
+
+
 def test_validate_timestamp_only_without_deterministic(model_files, capsys):
     code, out, _ = run_cli(capsys, "validate", "--model", model_files["bm"])
     assert code == 0
-    assert "generatedAt" in json.loads(out)
+    assert "generatedAt" in parse_report(out)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -139,7 +172,7 @@ def test_scale_table_json_roundtrips(model_files, capsys):
     code, out, _ = run_cli(capsys, "scale-table", "--model", model_files["b"],
                            "--deterministic")
     assert code == 0
-    d = json.loads(out)
+    d = parse_report(out)
     assert d["schema"] == "levy-fluct/1"
     assert d["columns"][0] == "q"
     assert len(d["rows"][0]) == len(d["columns"])
@@ -160,14 +193,14 @@ def test_intensity_table_residual_gate(model_files, capsys):
     code, out, _ = run_cli(capsys, "intensity-table", "--model", model_files["b"],
                            "--betas", "0.1,0.5,2.5,10", "--deterministic")
     assert code == 0
-    d = json.loads(out)
+    d = parse_report(out)
     assert d["withinTolerance"] is True
     # absurdly tight bound flips the exit code, output still emitted
     code, out, _ = run_cli(capsys, "intensity-table", "--model", model_files["b"],
                            "--betas", "0.1", "--tolerance", "1e-18",
                            "--deterministic")
     assert code == 1
-    assert json.loads(out)["withinTolerance"] is False
+    assert parse_report(out)["withinTolerance"] is False
 
 
 def test_intensity_table_empty_betas_is_usage_error(model_files):
@@ -187,7 +220,7 @@ def test_simulate_report_keys(model_files, capsys):
                            "--paths", "4000", "--dt", "1e-3", "--seed", "7",
                            "--deterministic")
     assert code == 0
-    d = json.loads(out)
+    d = parse_report(out)
     assert d["estimator"] == "passage"
     r = d["results"][0]
     for key in ("estimate", "stderr", "target", "zscore", "dt", "paths", "seed"):
@@ -204,7 +237,7 @@ def test_simulate_reads_config_file(model_files, tmp_path, capsys):
                            "--estimator", "upcross", "--xs", "1", "--qs", "2",
                            "--config", str(cfg), "--deterministic")
     assert code == 0
-    r = json.loads(out)["results"][0]
+    r = parse_report(out)["results"][0]
     assert r["paths"] == 2000 and r["dt"] == 1e-3
 
 
@@ -216,7 +249,7 @@ def test_simulate_flag_overrides_config(model_files, tmp_path, capsys):
                            "--config", str(cfg), "--paths", "1000",
                            "--deterministic")
     assert code == 0
-    assert json.loads(out)["results"][0]["paths"] == 1000
+    assert parse_report(out)["results"][0]["paths"] == 1000
 
 
 @pytest.mark.parametrize("fields, name", [

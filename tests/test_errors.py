@@ -3,8 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from levyfluct import BadParameterError, g_family, laplace_roundtrip, mittag_leffler
+from levyfluct import (
+    BadParameterError,
+    MCConfig,
+    conditioned_resolvent_density,
+    entrance_law_laplace,
+    estimate_upcross_laplace,
+    g_family,
+    h_beta,
+    hitting_laplace,
+    intensity_total,
+    kernel_K,
+    laplace_roundtrip,
+    make_engine,
+    martingale_check,
+    mittag_leffler,
+    w_series_check,
+)
 from levyfluct.errors import _check_arg
+from conftest import bm
 
 NAN = math.nan
 INF = math.inf
@@ -14,7 +31,7 @@ INF = math.inf
 # the one argument check covered them
 @pytest.mark.parametrize("call", [
     pytest.param(lambda e: g_family(e).g(NAN), id="g-nan"),
-    pytest.param(lambda e: g_family(e).g_minus(NAN), id="g_minus-nan"),
+    pytest.param(lambda e: g_family(e).g_minus_beta(0.0, NAN), id="g_minus-nan"),
     pytest.param(lambda e: g_family(e).g_tilde(NAN), id="g_tilde-nan"),
     pytest.param(lambda e: g_family(e).g_minus_beta(0.5, NAN), id="g_minus_beta-nan"),
     pytest.param(lambda e: mittag_leffler(1.5, 1.5, NAN), id="ml-z-nan"),
@@ -39,10 +56,10 @@ def test_mittag_leffler_domain_edges():
 
 def test_array_check_names_the_first_bad_point():
     with pytest.raises(BadParameterError, match=r"^x must be finite and > 0, got nan$"):
-        _check_arg("x", np.array([0.5, NAN, -1.0]))
+        _check_arg("x", np.array([0.5, NAN, -1.0]), points=True)
     with pytest.raises(BadParameterError, match=r"^y must be finite, got inf$"):
-        _check_arg("y", np.array([[-3.0, 2.0], [INF, 0.0]]), -INF)
-    out = _check_arg("x", np.array([0, 1, 2]), strict=False)
+        _check_arg("y", np.array([[-3.0, 2.0], [INF, 0.0]]), -INF, points=True)
+    out = _check_arg("x", np.array([0, 1, 2]), strict=False, points=True)
     assert out.dtype == float and out.tolist() == [0.0, 1.0, 2.0]
 
 
@@ -53,3 +70,41 @@ def test_scalar_check_wording_and_bounds():
         _check_arg("beta", -1.0, strict=False)
     with pytest.raises(BadParameterError, match=r"^lam must be finite and > 1.5, got 1.5$"):
         _check_arg("lam", 1.5, 1.5)
+
+
+_PAIR = np.array([0.5, 1.0])
+_MC = MCConfig(dt=1e-2, paths=100, horizon=1.0)
+
+
+# each of these raised a builtins ValueError or TypeError on an array
+# before arrays were rejected at the arguments that take one number
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda e: h_beta(e, _PAIR, 0.7), id="h_beta-beta"),
+    pytest.param(lambda e: h_beta(e, 0.5, _PAIR), id="h_beta-y"),
+    pytest.param(lambda e: hitting_laplace(e, 0.5, _PAIR), id="hitting-y"),
+    pytest.param(lambda e: conditioned_resolvent_density(e, 0.5, 0.5, _PAIR, 1.0),
+                 id="conditioned-x"),
+    pytest.param(lambda e: g_family(e).g_tilde(_PAIR), id="g_tilde-x"),
+    pytest.param(lambda e: g_family(e).g_minus_beta(0.5, -_PAIR), id="g_minus_beta-x"),
+    pytest.param(lambda e: g_family(e).g_minus_beta(_PAIR, -0.5), id="g_minus_beta-beta"),
+    pytest.param(lambda e: g_family(make_engine(bm(-1.0))).g(-_PAIR), id="g-x-drift-down"),
+    pytest.param(lambda e: laplace_roundtrip(e, 0.5, 3.0 + _PAIR), id="roundtrip-lam"),
+    pytest.param(lambda e: e.model.phi(_PAIR), id="phi-q"),
+    pytest.param(lambda e: e.w(_PAIR, 0.5), id="w-q"),
+    pytest.param(lambda e: intensity_total(e, _PAIR), id="intensity_total-beta"),
+    pytest.param(lambda e: entrance_law_laplace(e, _PAIR, lambda x: 1.0, (-1.0, 1.0)),
+                 id="entrance-q"),
+    pytest.param(lambda e: kernel_K(e, 0.5, _PAIR, lambda y, w: 1.0), id="kernel-x"),
+    pytest.param(lambda e: w_series_check(e, 0.5, _PAIR), id="series-x"),
+    pytest.param(lambda e: estimate_upcross_laplace(e.model, _MC, _PAIR, 2.5), id="upcross-a"),
+    pytest.param(lambda e: martingale_check(e.model, _MC, _PAIR), id="martingale-lam"),
+])
+def test_arguments_taking_one_number_reject_arrays(engine_b, call):
+    with pytest.raises(BadParameterError, match="must be one number"):
+        call(engine_b)
+
+
+def test_zero_dimensional_array_counts_as_a_number(engine_b):
+    assert engine_b.model.phi(np.array(2.5)) == engine_b.model.phi(2.5)
+    assert intensity_total(engine_b, np.array(0.5)) == intensity_total(engine_b, 0.5)
+    assert h_beta(engine_b, np.array(0.5), np.array(0.7)) == h_beta(engine_b, 0.5, 0.7)

@@ -5,7 +5,6 @@ import pytest
 from levyfluct import (
     BadParameterError,
     constant_A,
-    decomposition_residual,
     dual_lifetime_masses,
     entrance_constants,
     entrance_law_laplace,
@@ -14,7 +13,6 @@ from levyfluct import (
     intensity_stay_positive,
     intensity_table,
     intensity_total,
-    intensity_total_infinite,
     intensity_upper_creep,
     inverse_local_time,
     occupation_overshoot_identity,
@@ -57,7 +55,7 @@ def test_partition_residual_small_across_models(
         engine_bm0, engine_bm_up, engine_bm_down, engine_b, engine_stable):
     for engine in (engine_bm0, engine_bm_up, engine_bm_down, engine_b, engine_stable):
         for beta in (0.1, 0.5, 2.5, 10.0):
-            res = decomposition_residual(engine, beta)
+            res = intensity_table(engine, beta).residual
             total = intensity_total(engine, beta)
             assert abs(res) <= 1e-6 * total
 
@@ -115,10 +113,10 @@ def test_upper_creep_needs_gaussian_part(engine_stable, engine_b):
 def test_infinite_lifetime_limits(engine_b):
     # beta -> 0 the total tends to the unkilled value psi'(phi(0))
     m = engine_b.model
-    assert intensity_total_infinite(engine_b) == pytest.approx(
+    assert intensity_total(engine_b, 0.0) == pytest.approx(
         m.psi_prime(m.phi(0.0)), rel=1e-12)
     small = intensity_total(engine_b, 1e-10)
-    assert small == pytest.approx(intensity_total_infinite(engine_b), rel=1e-6)
+    assert small == pytest.approx(intensity_total(engine_b, 0.0), rel=1e-6)
 
 
 def test_beta_rejected_when_not_positive(engine_b):
@@ -228,6 +226,7 @@ def test_constant_a_by_regime(engine_bm0, engine_b, engine_stable, engine_temper
 # ---------------------------------------------------------------------------
 
 from levyfluct import (  # noqa: E402
+    ExpJumps,
     LevyModel,
     StableJumps,
     TemperedStableJumps,
@@ -287,6 +286,50 @@ def test_closed_crossings_match_quadrature(engine_b, engine_stable, engine_tempe
             before, after = _quadrature_crossings(engine, beta)
             assert intensity_cross_before(engine, beta) == pytest.approx(before, rel=1e-9)
             assert intensity_cross_after(engine, beta) == pytest.approx(after, rel=1e-9)
+
+
+# beta = 0: the unkilled masses n(zeta = inf) of the total and the jump crossing
+
+_CP_DOWN = LevyModel(gamma=0.5, sigma2=1.0, jumps=ExpJumps(rate=2.0, jump_rate=3.0))
+_TEMPERED_DOWN = _tempered(-0.5, 1.0, 1.5, 0.8, 1.5)
+
+
+def test_total_at_beta_zero_in_each_drift_regime(
+        engine_bm0, engine_bm_up, engine_bm_down, engine_b, engine_stable, engine_tempered):
+    # BM: psi'(phi(0)+) = |gamma|
+    assert intensity_total(engine_bm_up, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert intensity_total(engine_bm_down, 0.0) == pytest.approx(1.0, rel=1e-12)
+    for m in (engine_b.model, _CP_DOWN, _TEMPERED_DOWN):
+        want = float(m.psi_prime(m.phi(0.0)))
+        assert want > 0.0
+        assert intensity_total(make_engine(m), 0.0) == pytest.approx(want, rel=1e-12)
+    assert engine_b.model.mean > 0.0 > max(_CP_DOWN.mean, _TEMPERED_DOWN.mean)
+    for oscillating in (engine_bm0, engine_stable, engine_tempered):
+        assert oscillating.model.mean == 0.0
+        assert intensity_total(oscillating, 0.0) == 0.0
+
+
+def test_cross_before_at_beta_zero(engine_bm0, engine_bm_up, engine_b, engine_stable,
+                                   engine_tempered):
+    # drifting to -inf: phi(0) * tail_moment(phi(0)), here rate/(jump_rate + phi0)^2
+    # for exponential jumps and the quadrature reference for tempered ones
+    phi0 = _CP_DOWN.phi(0.0)
+    assert phi0 > 0.0
+    assert intensity_cross_before(make_engine(_CP_DOWN), 0.0) == pytest.approx(
+        phi0 * 2.0 / (3.0 + phi0) ** 2, rel=1e-12)
+    engine = make_engine(_TEMPERED_DOWN)
+    before, _ = _quadrature_crossings(engine, 0.0)
+    assert before > 0.0
+    assert intensity_cross_before(engine, 0.0) == pytest.approx(before, rel=1e-9)
+    for other in (engine_bm0, engine_bm_up, engine_b, engine_stable, engine_tempered):
+        assert intensity_cross_before(other, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("fn", [intensity_total, intensity_cross_before])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_unkilled_branches_reject_bad_beta(engine_b, fn, bad):
+    with pytest.raises(BadParameterError):
+        fn(engine_b, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from levyfluct import (
-    QuadratureFailure,
     conditioned_resolvent_density,
     creeping_probability,
     g_family,
@@ -171,11 +170,6 @@ def test_kernel_passes_arrays_to_f(engine_b):
         kernel_K(engine_b, 2.5, 1.0, lambda y, z: 1.0), rel=1e-14)
 
 
-def test_kernel_deadline_cancels(engine_b):
-    with pytest.raises(QuadratureFailure, match="deadline"):
-        kernel_K(engine_b, 2.5, 1.0, lambda y, z: 1.0, deadline=0.0)
-
-
 # ---------------------------------------------------------------------------
 # conditioned resolvent
 # ---------------------------------------------------------------------------
@@ -216,7 +210,7 @@ def test_g_is_negation_when_drift_nonnegative(engine_bm0):
     fam = g_family(engine_bm0)
     assert fam.g(0.0) == 0.0
     assert fam.g(-1.5) == 1.5
-    assert fam.g_minus(-2.0) == 2.0
+    assert fam.g_minus_beta(0.0, -2.0) == 2.0
 
 
 def test_g_plus_is_scale_function(engine_b):
@@ -231,7 +225,7 @@ def test_g_minus_beta_monotone_in_killing(engine_b):
     betas = (10.0, 2.5, 0.5, 0.1, 1e-4, 1e-8)
     vals = [fam.g_minus_beta(b, x) for b in betas]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(fam.g_minus(x), rel=1e-6)
+    assert vals[-1] == pytest.approx(fam.g_minus_beta(0.0, x), rel=1e-6)
 
 
 def test_g_tilde_infinite_flag(engine_bm_down, engine_bm_up):

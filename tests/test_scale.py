@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from levyfluct import (
-    BadConfigError,
     BadParameterError,
     InversionFailure,
     LevyModel,
-    ScaleConfig,
     StableJumps,
     TemperedStableJumps,
     laplace_roundtrip,
@@ -22,11 +20,6 @@ from conftest import bm, model_b, stable_sn, tempered_mixed
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-
-def test_config_rejects_unknown_method():
-    with pytest.raises(BadConfigError):
-        ScaleConfig(method="magic")
 
 
 def test_closed_form_routing():
@@ -113,11 +106,10 @@ def test_model_b_frozen_values(engine_b):
 def test_contour_agrees_with_closed_form():
     for make in (bm, model_b):
         closed = make_engine(make())
-        contour = make_engine(make(), ScaleConfig(method="contour"))
         for q in (0.0, 0.5, 2.5):
             for x in (0.01, 0.1, 1.0, 5.0, 10.0):
                 a = closed.w(q, x)
-                b = contour.w(q, x)
+                b = float(closed._contour(q, x, "w").value)
                 assert b == pytest.approx(a, rel=1e-6, abs=1e-12)
 
 
@@ -232,10 +224,10 @@ def test_split_plus_leading_term_reconstructs_w_and_z(model):
 def test_rational_z_agrees_with_contour():
     for model in (model_b(), bm(-1.0)):
         closed = make_engine(model)
-        contour = make_engine(model, ScaleConfig(method="contour"))
         for q in (0.5, 2.5):
             for x in (0.01, 0.1, 1.0, 5.0):
-                assert closed.z(q, x) == pytest.approx(contour.z(q, x), rel=1e-9)
+                contour = float(closed._contour(q, x, "z").value)
+                assert closed.z(q, x) == pytest.approx(contour, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +357,12 @@ def test_contour_route_meets_closed_forms(model):
     # the worst relative error here is about 2.4e-10; 4 edge-anchored
     # cells per octave read 1.6e-9
     closed = make_engine(model)
-    contour = make_engine(model, ScaleConfig(method="contour"))
     x = np.geomspace(1e-3, 30.0, 2001)
     for q in (0.0, 0.5, 2.5):
         # the contour shift is at most phi(q) + max(1, phi(q)/10)
         phi = model.phi(q)
         xs = x[(phi + max(1.0, phi / 10.0)) * x < 700.0]
-        rel = np.abs(contour.w(q, xs) / closed.w(q, xs) - 1.0)
+        rel = np.abs(closed._contour(q, xs, "w").value / closed.w(q, xs) - 1.0)
         assert rel.max() <= 1e-9
 
 

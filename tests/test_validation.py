@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from levyfluct import TOLERANCES, run_validation
+from levyfluct import TOLERANCES, BadParameterError, run_validation, validation
 from conftest import bm, model_b, stable_sn, tempered_mixed
 
 
@@ -39,6 +41,16 @@ def test_tolerance_override_can_force_failure():
 def test_unknown_tolerance_rejected():
     with pytest.raises(KeyError):
         run_validation(bm(), tolerances={"model.nonsense": 1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_tolerance_override_must_be_finite_and_nonnegative(monkeypatch, value):
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the overrides were checked")
+
+    monkeypatch.setattr(validation, "_model_checks", no_suite)
+    with pytest.raises(BadParameterError, match="scale.monotone must be finite and >= 0"):
+        run_validation(bm(), tolerances={"scale.monotone": value})
 
 
 def test_with_mc_adds_estimator_checks():
