@@ -11,10 +11,17 @@ estimate misses its target raises instead of returning.
 ``integrate_semiinfinite`` maps a tail with a known exponential decay
 rate onto (0, 1], so the rule sees a bounded, well-scaled integrand.
 The rule bisects but does not extrapolate, so a power-law endpoint is
-first made bounded by the graded map of :func:`integrate_graded`; the
+first made smooth by the graded map of :func:`integrate_graded`; the
 jump-tail integrals behind the excursion, overshoot and ladder
-references and the transforms of W at sigma2 = 0 take that route, through
-:func:`_jump_quadrature` for the jump tails.
+references and the integrals over W take that route, through
+:func:`_jump_quadrature` for the jump tails.  A grade that only bounds
+an endpoint (f ~ u**(1/grade - 1) mapped to a constant) still leaves
+the next term a fractional power of the mapped variable, which each
+bisection cuts only a few-fold; twice that grade maps the leading term
+to a linear one, and the rule then meets its target in a few rounds.
+The head of a jump tail takes the doubled grade where it stays at most
+20, and the power tail of an untempered stable resolvent takes it
+through ``scale._integrate_on_w``.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ _KRONROD = np.concatenate([_WGK, [_WGK0], _WGK[::-1]])
 _GAUSS = np.zeros(21)
 _GAUSS[1:10:2] = _WG
 _GAUSS[11:20:2] = _WG[::-1]
+# the Kronrod and Gauss weights as the columns of one matrix, so that
+# both sums of every interval come from one product
+_WEIGHTS = np.stack([_KRONROD, _GAUSS], axis=1)
 _EPS = np.finfo(float).eps
 
 
@@ -67,11 +77,12 @@ def _gk21(f, lo, hi):
     centre = lo + half
     xs = centre[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    kronrod = np.sum(fx * _KRONROD, axis=1)
-    mean = 0.5 * kronrod
-    resabs = np.sum(np.abs(fx) * _KRONROD, axis=1) * np.abs(half)
-    resasc = np.sum(np.abs(fx - mean[:, None]) * _KRONROD, axis=1) * np.abs(half)
-    err = np.abs((kronrod - np.sum(fx * _GAUSS, axis=1)) * half)
+    kronrod, gauss = (fx @ _WEIGHTS).T
+    dev = fx - 0.5 * kronrod[:, None]
+    abs_half = np.abs(half)
+    resasc = (np.abs(dev, out=dev) @ _KRONROD) * abs_half
+    resabs = (np.abs(fx) @ _KRONROD) * abs_half
+    err = np.abs((kronrod - gauss) * half)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -197,16 +208,21 @@ def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
     # u * pitail(u) at 0 and like exp(-tail_decay*u) * pitail(u) at
     # infinity, on the array rule: the independent reference for the
     # closed forms of the excursion layer.  For the stable families the
-    # graded maps bound the u**(1-alpha) endpoint of the head and the
-    # pitail(u) ~ u**(-alpha) of a bare power tail (stable, tail_decay =
-    # 0); the compound Poisson tail is bounded at 0 and decays
-    # exponentially as it stands.  The tail takes no exponential map even
-    # where a decay rate exists: at a rate as small as phi(0) = 3.5e-11
-    # (stable, gamma = -0.3, alpha = 1.05) that map squeezes the power-law
-    # part into the last 1e-11 of the rule's interval, and the integral
-    # came out 5e-9 off
+    # head takes grade 2/(2 - alpha), which maps the u**(1-alpha) endpoint
+    # to s and the next term, u**(2-alpha), to s**(1 + grade); above
+    # alpha = 1.9 that grade would pass the 20 of integrate_graded's
+    # underflow note, and the head keeps 1/(2 - alpha), which bounds the
+    # endpoint.  The tail grade bounds the pitail(u) ~ u**(-alpha) of a
+    # bare power tail (stable, tail_decay = 0); the compound Poisson tail
+    # is bounded at 0 and decays exponentially as it stands.  The tail
+    # takes no exponential map even where a decay rate exists: at a rate
+    # as small as phi(0) = 3.5e-11 (stable, gamma = -0.3, alpha = 1.05)
+    # that map squeezes the power-law part into the last 1e-11 of the
+    # rule's interval, and the integral came out 5e-9 off
     if jumps.infinite_variation:
-        grade, tail_grade = 1.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
+        grade, tail_grade = 2.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
+        if grade > 20.0:
+            grade *= 0.5
     else:
         grade = tail_grade = 1.0
     return integrate_graded(integrand, 5.0 / max(tail_decay, 1.0), grade,

@@ -12,6 +12,7 @@ fault and the latter are ours.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -90,23 +91,30 @@ class InsufficientCrossings(LevyFluctError, RuntimeError):
 def _check_arg(name, value, bound=0.0, strict=True, points=False):
     """A public level, rate or point: finite and > bound (>= when not strict).
 
-    value is a number, and comes back as a float.  Where the call site
-    takes points (points=True) it may also be a numpy array, checked at
-    every point and returned as a float array; elsewhere an array of
-    ndim >= 1 is rejected and a 0-d array counts as a number.
+    value is a real number, and comes back as a float; anything else (a
+    list, None, a string, a complex number) is rejected.  Where the call
+    site takes points (points=True) it may also be a real numpy array,
+    checked at every point and returned as a float array; elsewhere an
+    array of ndim >= 1 is rejected and a 0-d array counts as a number.
     bound = -inf asks only for finiteness.
     """
-    # a float skips the array test, which costs as much as the check itself
+    # a float skips the type tests, which cost as much as the check itself
     if type(value) is not float:
-        if isinstance(value, np.ndarray) and value.ndim and not points:
-            raise BadParameterError(
-                f"{name} must be one number, got an array of shape {value.shape}")
-        if isinstance(value, np.ndarray) and points:
-            value = np.asarray(value, dtype=float)
-            ok = np.isfinite(value) & ((value > bound) if strict else (value >= bound))
-            if not ok.all():
-                raise _bad_arg(name, value[~ok][0], bound, strict)
-            return value
+        if isinstance(value, np.ndarray):
+            if value.ndim and not points:
+                raise BadParameterError(
+                    f"{name} must be one number, got an array of shape {value.shape}")
+            if value.dtype.kind not in "biuf":
+                raise BadParameterError(
+                    f"{name} must be a real number, got an array of {value.dtype}")
+            if points:
+                value = np.asarray(value, dtype=float)
+                ok = np.isfinite(value) & ((value > bound) if strict else (value >= bound))
+                if not ok.all():
+                    raise _bad_arg(name, value[~ok][0], bound, strict)
+                return value
+        elif not isinstance(value, numbers.Real):
+            raise BadParameterError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if math.isfinite(value) and (value > bound if strict else value >= bound):
         return value

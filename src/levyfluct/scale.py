@@ -125,8 +125,8 @@ def mittag_leffler(a, b, z):
     if a > 2.0:
         raise BadParameterError(f"a must lie in (0, 2], got {a}")
     b = _check_arg("b", b, -math.inf)
-    z, shape = _points(z)
-    zs = np.atleast_1d(_check_arg("z", z, strict=False, points=True))
+    z, shape = _points(_check_arg("z", z, strict=False, points=True))
+    zs = np.atleast_1d(z)
     series = zs <= 80.0
     if series.all():
         out = _ml_series_sum(a, b, zs)
@@ -384,8 +384,8 @@ class ScaleEngine:
         # q >= 0 as a float; x >= x_bound and the shape to give back as
         # from _points
         q = _check_arg("q", q, strict=False)
-        x, shape = _points(x)
-        return q, _check_arg("x", x, x_bound, strict=False, points=True), shape
+        x, shape = _points(_check_arg("x", x, x_bound, strict=False, points=True))
+        return q, x, shape
 
     # -- leading-term split -----------------------------------------------------
 
@@ -691,12 +691,24 @@ def _grade(model):
     return 3.0
 
 
+def _tail_grade(model):
+    # without a decay rate the tail takes y = y* + (1 - r)/r, r = t**k.
+    # An untempered stable u_q(-y) decays like y**(-1-alpha), which k = 1
+    # leaves as t**(alpha-1) at t = 0 and bisection cuts only about
+    # 2.8-fold a round; k = 2/alpha makes it linear in t.  The other
+    # families decay exponentially, and k = 1 serves them
+    if isinstance(model.jumps, StableJumps):
+        return 2.0 / model.jumps.alpha
+    return 1.0
+
+
 def _integrate_on_w(model, f, decay, *, rtol, atol=1e-13):
     # integral over (0, inf) of an array integrand built on W that decays
-    # like exp(-decay*y) (decay = 0: no known rate); the head up to
-    # y* = 5/max(decay, 1) takes the graded map of _grade
+    # like exp(-decay*y) (decay = 0: no known rate, and the tail takes the
+    # power map of _tail_grade); the head up to y* = 5/max(decay, 1) takes
+    # the graded map of _grade
     return integrate_graded(f, 5.0 / max(decay, 1.0), _grade(model), decay=decay,
-                            rtol=rtol, atol=atol)
+                            tail_grade=_tail_grade(model), rtol=rtol, atol=atol)
 
 
 def laplace_roundtrip(engine, q, lam):

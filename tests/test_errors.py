@@ -108,3 +108,22 @@ def test_zero_dimensional_array_counts_as_a_number(engine_b):
     assert engine_b.model.phi(np.array(2.5)) == engine_b.model.phi(2.5)
     assert intensity_total(engine_b, np.array(0.5)) == intensity_total(engine_b, 0.5)
     assert h_beta(engine_b, np.array(0.5), np.array(0.7)) == h_beta(engine_b, 0.5, 0.7)
+
+
+# each of these raised a builtins TypeError or ValueError before values
+# that are not real numbers were rejected by name
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda e: intensity_total(e, [0.5, 1.0]), "beta", id="total-list"),
+    pytest.param(lambda e: intensity_total(e, None), "beta", id="total-none"),
+    pytest.param(lambda e: e.w(0.5, [0.5, 1.0]), "x", id="w-x-list"),
+    pytest.param(lambda e: e.w(0.5, 1 + 2j), "x", id="w-x-complex"),
+    pytest.param(lambda e: e.w(0.5, np.array([0.5, 1j])), "x", id="w-x-complex-array"),
+    pytest.param(lambda e: e.w(None, 0.5), "q", id="w-q-none"),
+    pytest.param(lambda e: h_beta(e, 0.5, "x"), "y", id="h_beta-y-str"),
+    pytest.param(lambda e: h_beta(e, "0.5", 0.7), "beta", id="h_beta-beta-numeric-str"),
+    pytest.param(lambda e: e.model.phi("2"), "phi: q", id="phi-q-str"),
+    pytest.param(lambda e: mittag_leffler(1.5, 1.0, [1.0]), "z", id="ml-z-list"),
+])
+def test_values_that_are_not_real_numbers_are_rejected_by_name(engine_b, call, name):
+    with pytest.raises(BadParameterError, match=rf"^{name} must be a real number, got "):
+        call(engine_b)

@@ -366,6 +366,20 @@ def test_array_quadrature_crossings_match_closed_forms(model):
         assert after == pytest.approx(intensity_cross_after(engine, beta), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9, 1.95])
+@pytest.mark.parametrize("tempering", [0.0, 1.0])
+def test_quadrature_crossings_on_both_sides_of_the_head_grade_cap(alpha, tempering):
+    # the head takes grade 2/(2 - alpha) up to alpha = 1.9 and
+    # 1/(2 - alpha) above, where 2/(2 - alpha) would pass 20
+    jumps = (TemperedStableJumps(alpha=alpha, scale=0.8, tempering=tempering) if tempering
+             else StableJumps(alpha=alpha, scale=0.8))
+    engine = make_engine(LevyModel(gamma=0.5, sigma2=0.5, jumps=jumps))
+    for beta in (0.5, 2.0):
+        before, after = _quadrature_crossings(engine, beta)
+        assert before == pytest.approx(intensity_cross_before(engine, beta), rel=1e-9)
+        assert after == pytest.approx(intensity_cross_after(engine, beta), rel=1e-9)
+
+
 def test_tail_difference_keeps_small_arguments():
     # exp(-0*y) - exp(-phib*y) rounds to 0 below y ~ 1e-17 and keeps only
     # about 4 digits at 1e-12; the expm1 form keeps pitail(y)*phib*y
