@@ -33,6 +33,12 @@ Conventions used throughout the package:
   when the process drifts to -infinity.
 * The bivariate descending ladder exponent is normalised so that
   kappa_hat(lam) = psi(lam)/(lam - phi(0)).
+* ``psi``, ``psi_prime`` and ``psi_second`` take a float in float arithmetic
+  to a float, and an array, real or complex, through numpy to an array; they
+  differ by at most an ulp of pow in a term.  A real lam below the domain (0
+  stable, -theta tempered) gives NaN; psi_second is +inf at the domain's end.
+  At the compound Poisson pole -jump_rate a float makes psi and psi_prime
+  raise ZeroDivisionError, where an array gives +inf and -inf.
 """
 
 from __future__ import annotations
@@ -81,6 +87,12 @@ def _maybe_scalar(out, like):
     return out
 
 
+def _base(x):
+    # the base of a fractional power of lam: Python's pow turns a real number
+    # below 0 complex where numpy's gives NaN, so such a number becomes NaN
+    return math.nan if isinstance(x, (int, float)) and x < 0.0 else x
+
+
 # ---------------------------------------------------------------------------
 # jump families
 # ---------------------------------------------------------------------------
@@ -95,13 +107,14 @@ class NoJumps:
     infinite_variation = False
 
     def psi_part(self, lam):
-        # keeps a complex node array complex
-        return np.zeros_like(np.asarray(lam))
+        # keeps a float a float and a complex node array complex
+        return 0.0 * lam
 
     def _zeros(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    psi_part_d1 = psi_part_d2 = tail = density = tail_transform = tail_moment = _zeros
+    psi_part_d1 = psi_part_d2 = psi_part
+    tail = density = tail_transform = tail_moment = _zeros
 
     @property
     def mean_at_zero(self):
@@ -131,15 +144,12 @@ class ExpJumps:
                  "jumps.jump_rate: must be a positive finite number")
 
     def psi_part(self, lam):
-        lam = np.asarray(lam)
         return -self.rate * lam / (self.jump_rate + lam)
 
     def psi_part_d1(self, lam):
-        lam = np.asarray(lam, dtype=float)
         return -self.rate * self.jump_rate / (self.jump_rate + lam) ** 2
 
     def psi_part_d2(self, lam):
-        lam = np.asarray(lam, dtype=float)
         return 2.0 * self.rate * self.jump_rate / (self.jump_rate + lam) ** 3
 
     def tail(self, x):
@@ -191,18 +201,15 @@ class StableJumps:
                  "jumps.scale: must be a positive finite number")
 
     def psi_part(self, lam):
-        lam = np.asarray(lam)
-        return self.scale * np.power(lam, self.alpha)
+        return self.scale * _base(lam) ** self.alpha
 
     def psi_part_d1(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.scale * self.alpha * np.power(lam, self.alpha - 1.0)
+        return self.scale * self.alpha * _base(lam) ** (self.alpha - 1.0)
 
     def psi_part_d2(self, lam):
-        lam = np.asarray(lam, dtype=float)
         a = self.alpha
         with np.errstate(divide="ignore"):
-            return self.scale * a * (a - 1.0) * np.power(lam, a - 2.0)
+            return self.scale * a * (a - 1.0) * _base(lam) ** (a - 2.0)
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -265,21 +272,18 @@ class TemperedStableJumps:
                  "(use family 'stable' for tempering = 0)")
 
     def psi_part(self, lam):
-        lam = np.asarray(lam)
+        # theta**alpha from the pow that takes (lam + theta)**alpha, so psi(0) = 0
         a, th = self.alpha, self.tempering
-        return self.scale * (
-            np.power(lam + th, a) - np.power(th, a) - a * th ** (a - 1.0) * lam
-        )
+        th_a = np.power(th, a) if isinstance(lam, np.ndarray) else th**a
+        return self.scale * (_base(lam + th) ** a - th_a - a * th ** (a - 1.0) * lam)
 
     def psi_part_d1(self, lam):
-        lam = np.asarray(lam, dtype=float)
         a, th = self.alpha, self.tempering
-        return self.scale * a * (np.power(lam + th, a - 1.0) - th ** (a - 1.0))
+        return self.scale * a * (_base(lam + th) ** (a - 1.0) - th ** (a - 1.0))
 
     def psi_part_d2(self, lam):
-        lam = np.asarray(lam, dtype=float)
         a, th = self.alpha, self.tempering
-        return self.scale * a * (a - 1.0) * np.power(lam + th, a - 2.0)
+        return self.scale * a * (a - 1.0) * _base(lam + th) ** (a - 2.0)
 
     def tail(self, x):
         # integration by parts twice; the last term is the upper incomplete
@@ -435,22 +439,19 @@ class LevyModel:
     # -- Laplace exponent ---------------------------------------------------
 
     def psi(self, lam):
-        """Laplace exponent at lam; accepts scalars or arrays, real or complex."""
-        arr = np.asarray(lam)
-        out = self.gamma * arr + 0.5 * self.sigma2 * arr**2 + self.jumps.psi_part(arr)
-        return _maybe_scalar(out, lam)
+        """Laplace exponent at lam, a number or an array, real or complex."""
+        return self.gamma * lam + 0.5 * self.sigma2 * lam**2 + self.jumps.psi_part(lam)
 
     def psi_prime(self, lam):
         """First derivative of psi on [0, infinity); psi'(0) is the mean."""
-        arr = np.asarray(lam, dtype=float)
-        out = self.gamma + self.sigma2 * arr + self.jumps.psi_part_d1(arr)
-        return _maybe_scalar(out, lam)
+        return self.gamma + self.sigma2 * lam + self.jumps.psi_part_d1(lam)
 
     def psi_second(self, lam):
         """Second derivative of psi; may be +inf at 0 for heavy-tailed families."""
-        arr = np.asarray(lam, dtype=float)
-        out = self.sigma2 + self.jumps.psi_part_d2(arr)
-        return _maybe_scalar(out, lam)
+        try:
+            return self.sigma2 + self.jumps.psi_part_d2(lam)
+        except ZeroDivisionError:  # a float at a pole, or 0.0 ** (alpha - 2)
+            return math.inf
 
     @functools.cached_property
     def mean(self):
@@ -466,10 +467,8 @@ class LevyModel:
     def phi_prime(self, q):
         """Derivative of phi; +inf at q = 0 when the process oscillates."""
         d = self.psi_prime(self.phi(q))
-        if d <= 0.0:
-            # only possible at q = 0 with zero mean
-            return math.inf
-        return 1.0 / d
+        # d <= 0 only at q = 0 with zero mean
+        return 1.0 / d if d > 0.0 else math.inf
 
     # -- jump measure and ladder structure ----------------------------------
 
@@ -545,7 +544,7 @@ def _psi_size(model, x):
     # floor of psi(x); the tempered part subtracts two constants of size
     # theta**alpha that cancel at small x
     j = model.jumps
-    size = abs(model.gamma * x) + 0.5 * model.sigma2 * x * x + abs(float(j.psi_part(x)))
+    size = abs(model.gamma * x) + 0.5 * model.sigma2 * x * x + abs(j.psi_part(x))
     if isinstance(j, TemperedStableJumps):
         size += 2.0 * j.scale * j.tempering**j.alpha
     return size

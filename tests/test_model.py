@@ -21,7 +21,22 @@ from levyfluct import (
     parse_model,
     run_validation,
 )
+from levyfluct.model import _EPS, _psi_size
 from conftest import bm, model_b, stable_sn, tempered_mixed
+
+# one model of each jump family
+FAMILIES = [bm, model_b, stable_sn, tempered_mixed]
+
+
+def tempered_pow_split():
+    # numpy's pow and Python's give theta**alpha one ulp apart on this model
+    return LevyModel(
+        gamma=0.0,
+        sigma2=0.9943653504819232,
+        jumps=TemperedStableJumps(
+            alpha=1.6009324230817334, scale=0.8210582819668469, tempering=1.5354014247238896
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +98,50 @@ def test_psi_tempered_is_compensated():
     assert m.psi(0.0) == 0.0
 
 
+@pytest.mark.parametrize("make", FAMILIES)
+def test_exponent_of_a_float_is_a_float_near_the_array_value(make):
+    # a float goes through float arithmetic, an array through numpy; their
+    # pow may differ by an ulp, which these points, where no terms cancel,
+    # keep within 4 ulp of the result
+    m = make()
+    for lam in (2.0, 5.0, 13.0):
+        for f in (m.psi, m.psi_prime, m.psi_second):
+            got, want = f(lam), f(np.array([lam]))[0]
+            assert type(got) is float
+            assert abs(got - want) <= 4.0 * math.ulp(want), (f.__name__, lam)
+    for q in (0.1, 1.0, 10.0):
+        got, want = m.phi_prime(q), 1.0 / m.psi_prime(np.array([m.phi(q)]))[0]
+        assert type(got) is float
+        assert abs(got - want) <= 4.0 * math.ulp(want), q
+
+
+@pytest.mark.parametrize("make", FAMILIES + [tempered_pow_split])
+def test_psi_vanishes_exactly_at_zero_on_floats_and_arrays(make):
+    m = make()
+    assert m.psi(0.0) == 0.0
+    assert m.psi(np.array([0.0]))[0] == 0.0
+
+
+def test_stable_psi_second_is_infinite_at_zero():
+    # Python's 0.0 ** (alpha - 2) raises where numpy's pow gives inf
+    m = stable_sn()
+    assert m.psi_second(0.0) == math.inf
+    assert m.psi_second(np.array([0.0]))[0] == math.inf
+
+
+@pytest.mark.parametrize("make, below", [(stable_sn, -0.5), (tempered_mixed, -2.0)])
+def test_exponent_below_its_domain_is_nan_not_complex(make, below):
+    # the domain ends at 0 (stable) and -theta = -1.5 (tempered); Python's
+    # pow would turn a float below it complex
+    m = make()
+    for f in (m.psi, m.psi_prime, m.psi_second):
+        got = f(below)
+        assert type(got) is float and math.isnan(got)
+        with np.errstate(invalid="ignore"):
+            arr = f(np.array([below]))
+        assert arr.dtype == float and np.isnan(arr[0])
+
+
 def test_pi_tail_exponential():
     m = model_b()
     assert float(m.pi_tail(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -116,6 +175,7 @@ def test_phi_inverts_psi(make):
     m = make()
     for q in np.logspace(-4, 4, 9):
         lam = m.phi(float(q))
+        assert type(lam) is float
         assert m.psi(lam) == pytest.approx(q, rel=1e-10)
 
 
@@ -160,6 +220,38 @@ def test_phi_inverse_property(gamma, sigma2, rate, jump_rate, q):
     lam = m.phi(q)
     assert lam >= m.phi(0.0)
     assert m.psi(lam) == pytest.approx(q, rel=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["none", "cp_exp", "stable", "tempered_stable"]),
+    gamma=st.floats(-2.0, 2.0),
+    sigma2=st.floats(0.0, 3.0),
+    alpha=st.floats(1.05, 1.95),
+    scale=st.floats(0.1, 3.0),
+    rate=st.floats(0.2, 5.0),
+    log_q=st.floats(-8.0, 6.0),
+)
+def test_phi_solve_holds_on_the_array_exponent(family, gamma, sigma2, alpha, scale, rate, log_q):
+    # phi solves on floats; numpy's psi and psi' at its root must still meet
+    # the solver's stopping rule, give or take the one ulp of the terms' size
+    # by which the two pows differ, and invert phi' to 1e-12 or to the
+    # rounding floor of psi', where the tempered constants cancel at small lam
+    jumps = {"none": NoJumps(), "cp_exp": ExpJumps(rate=scale, jump_rate=rate),
+             "stable": StableJumps(alpha=alpha, scale=scale),
+             "tempered_stable": TemperedStableJumps(alpha=alpha, scale=scale, tempering=rate)}
+    if family in ("none", "cp_exp"):
+        sigma2 = max(sigma2, 0.1)
+    m = LevyModel(gamma=gamma, sigma2=sigma2, jumps=jumps[family])
+    q = 10.0**log_q
+    lam = m.phi(q)
+    gap = abs(m.psi(np.array([lam]))[0] - q)
+    assert gap <= 1e-13 * q + 9.0 * _EPS * _psi_size(m, lam)
+    d1 = m.psi_prime(np.array([lam]))[0]
+    size = abs(gamma) + sigma2 * lam + abs(m.jumps.psi_part_d1(lam))
+    if family == "tempered_stable":
+        size += 2.0 * scale * alpha * rate ** (alpha - 1.0)
+    assert abs(m.phi_prime(q) * d1 - 1.0) <= 1e-12 + 8.0 * _EPS * size / d1
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,13 +387,7 @@ def test_parse_model_missing_jump_field():
 
 
 def test_tempered_psi_vanishes_exactly_at_zero():
-    model = LevyModel(
-        gamma=0.0,
-        sigma2=0.9943653504819232,
-        jumps=TemperedStableJumps(
-            alpha=1.6009324230817334, scale=0.8210582819668469, tempering=1.5354014247238896
-        ),
-    )
+    model = tempered_pow_split()
     assert model.psi(0.0) == 0.0
     report = run_validation(model)
     assert report.ok, [c.name for c in report.failures]
