@@ -33,7 +33,6 @@ from .excursion import (
     inverse_local_time,
     occupation_overshoot_identity,
     overshoot_mass,
-    subordinator_drift,
 )
 from .fluctuation import (
     conditioned_resolvent_density,

@@ -223,8 +223,6 @@ _ESTIMATORS = {
 _MODE_NAMES = {
     "DriftOnly": "drift-only",
     "GaussianCompensation": "gaussian-compensation",
-    "drift-only": "drift-only",
-    "gaussian-compensation": "gaussian-compensation",
 }
 
 
@@ -281,7 +279,7 @@ def _mc_config(args):
         horizon=pick(args.horizon, "horizon", None),
         seed=pick(args.seed, "seed", 0),
         small_jump_cutoff=base.get("smallJumpCutoff"),
-        small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "gaussian-compensation")],
+        small_jump_mode=_MODE_NAMES[base.get("smallJumpMode", "GaussianCompensation")],
     )
 
 

@@ -88,39 +88,51 @@ class InsufficientCrossings(LevyFluctError, RuntimeError):
     """Too few Monte Carlo paths realised the conditioning event."""
 
 
-def _check_arg(name, value, bound=0.0, strict=True, points=False):
-    """A public level, rate or point: finite and > bound (>= when not strict).
+def _check_arg(name, value, bound=0.0, strict=True, points=False, error=BadParameterError):
+    """A level, rate, point or setting: finite and > bound (>= when not strict).
 
     value is a real number, and comes back as a float; anything else (a
-    list, None, a string, a complex number) is rejected.  Where the call
-    site takes points (points=True) it may also be a real numpy array,
-    checked at every point and returned as a float array; elsewhere an
-    array of ndim >= 1 is rejected and a 0-d array counts as a number.
-    bound = -inf asks only for finiteness.
+    bool, a list, None, a string, a complex number) raises error naming
+    it.  Where the call site takes points (points=True) it may also be a
+    real numpy array, checked at every point and returned as a float
+    array; elsewhere an array of ndim >= 1 is rejected and a 0-d array
+    counts as a number.  bound = -inf asks only for finiteness.
     """
     # a float skips the type tests, which cost as much as the check itself
     if type(value) is not float:
         if isinstance(value, np.ndarray):
             if value.ndim and not points:
-                raise BadParameterError(
-                    f"{name} must be one number, got an array of shape {value.shape}")
-            if value.dtype.kind not in "biuf":
-                raise BadParameterError(
-                    f"{name} must be a real number, got an array of {value.dtype}")
+                raise error(f"{name} must be one number, got an array of shape {value.shape}")
+            if value.dtype.kind not in "iuf":
+                raise error(f"{name} must be a real number, got an array of {value.dtype}")
             if points:
                 value = np.asarray(value, dtype=float)
                 ok = np.isfinite(value) & ((value > bound) if strict else (value >= bound))
                 if not ok.all():
-                    raise _bad_arg(name, value[~ok][0], bound, strict)
+                    raise _bad_arg(name, value[~ok][0], bound, strict, error)
                 return value
-        elif not isinstance(value, numbers.Real):
-            raise BadParameterError(f"{name} must be a real number, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if math.isfinite(value) and (value > bound if strict else value >= bound):
         return value
-    raise _bad_arg(name, value, bound, strict)
+    raise _bad_arg(name, value, bound, strict, error)
 
 
-def _bad_arg(name, value, bound, strict):
+def _bad_arg(name, value, bound, strict, error):
     limit = "" if bound == -math.inf else f" and {'>' if strict else '>='} {bound:g}"
-    return BadParameterError(f"{name} must be finite{limit}, got {value}")
+    return error(f"{name} must be finite{limit}, got {value}")
+
+
+def _check_int(name, value, low=0, bits=None, error=BadParameterError):
+    """An integer >= low, and below 2**bits when bits is given, as an int.
+
+    A Python or numpy integer; a bool, a float and anything else raise
+    error naming it.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value >= low and (bits is None or value < 1 << bits):
+            return value
+    span = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+    raise error(f"{name} must be an integer {span}, got {value!r}")

@@ -15,7 +15,10 @@ its right inverse phi, and the jump tail.  This module evaluates:
   normalization (the free constant is fixed to 1 here),
 * the expected overshoot-like mass of level crossings accumulated over
   an excursion, and its recomputation against the occupation density,
-* the Laplace exponent of the inverse local time at 0 and its drift.
+* the Laplace exponent of the inverse local time at 0, a subordinator
+  with no drift in the supported class: 1/(lam*phi'(lam)) -> 0 as lam
+  grows, since the time a path of unbounded variation spends at 0 has
+  Lebesgue measure 0.
 
 Everything is closed-form.  The two parts of the partition that
 integrate the jump tail pitail are exact transforms of the exponent:
@@ -71,7 +74,6 @@ __all__ = [
     "overshoot_mass",
     "occupation_overshoot_identity",
     "inverse_local_time",
-    "subordinator_drift",
 ]
 
 
@@ -331,9 +333,9 @@ def entrance_law_laplace(engine, q, f, support):
     or a constant that broadcasts against them.
     """
     q = _check_arg("q", q)
-    lo, hi = (float(s) for s in support)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise BadParameterError(f"support must be a finite interval, got {support}")
+    lo, hi = (_check_arg("support", s, -math.inf) for s in support)
+    if not lo < hi:
+        raise BadParameterError(f"support must be an interval (lo, hi), got {support}")
     m = engine.model
     phi = m.phi(q)
     phip = m.phi_prime(q)
@@ -410,24 +412,10 @@ def occupation_overshoot_identity(engine):
 
 
 def inverse_local_time(engine, lam):
-    """Laplace exponent of the inverse local time at 0: 1/phi'(lam)."""
-    return _lifetime_rate(engine, _check_arg("lam", lam))
+    """Laplace exponent of the inverse local time at 0: 1/phi'(lam).
 
-
-def subordinator_drift(engine):
-    """Drift of the inverse local time, estimated as lim 1/(lam*phi'(lam)).
-
-    Evaluates the exponent ratio on lam = 1e2..1e8 and Aitken-accelerates
-    the last three values; the limit is 0 for every admissible model (the
-    ratio decays like a power of lam), so the returned estimate should be
-    tiny and the validation layer asserts that.
+    Its drift, lim 1/(lam*phi'(lam)), is 0 for every model of the
+    supported class (unbounded variation), so the exponent is its jump
+    part alone.
     """
-    ladder = [10.0**k for k in range(2, 9)]
-    vals = [_lifetime_rate(engine, lam) / lam for lam in ladder]
-    d1, d2, d3 = vals[-3], vals[-2], vals[-1]
-    denom = (d3 - d2) - (d2 - d1)
-    if denom == 0.0:
-        return d3
-    accel = d3 - (d3 - d2) ** 2 / denom
-    # the sequence is positive decreasing; acceleration must not overshoot
-    return max(accel, 0.0) if accel <= d3 else d3
+    return _lifetime_rate(engine, _check_arg("lam", lam))

@@ -133,8 +133,11 @@ def creeping_probability(engine, x):
     m = engine.model
     if m.sigma2 == 0.0:
         return 0.0 * x
-    phi0 = float(m.phi(0.0))
-    return 0.5 * m.sigma2 * (engine.w_prime(0.0, x) - phi0 * engine.w(0.0, x))
+    w_prime = engine.w_prime(0.0, x)
+    phi0 = m.phi(0.0)
+    if phi0 == 0.0:  # drifting up or oscillating: the W term vanishes
+        return 0.5 * m.sigma2 * w_prime
+    return 0.5 * m.sigma2 * (w_prime - phi0 * engine.w(0.0, x))
 
 
 def survival_probability(engine, x):

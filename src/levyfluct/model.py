@@ -80,6 +80,13 @@ def _require(cond, message):
         raise BadParameterError(message)
 
 
+def _check_field(obj, name, bound=0.0, strict=True, prefix="jumps."):
+    # a real field of a frozen dataclass, checked once and kept as a float
+    value = _check_arg(prefix + name, getattr(obj, name), bound, strict)
+    object.__setattr__(obj, name, value)
+    return value
+
+
 def _maybe_scalar(out, like):
     # array in -> array out; python scalar in -> python scalar out
     if np.ndim(like) == 0 and isinstance(out, np.ndarray):
@@ -110,11 +117,7 @@ class NoJumps:
         # keeps a float a float and a complex node array complex
         return 0.0 * lam
 
-    def _zeros(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    psi_part_d1 = psi_part_d2 = psi_part
-    tail = density = tail_transform = tail_moment = _zeros
+    psi_part_d1 = psi_part_d2 = tail = density = tail_transform = tail_moment = psi_part
 
     @property
     def mean_at_zero(self):
@@ -138,10 +141,8 @@ class ExpJumps:
     infinite_variation = False
 
     def __post_init__(self):
-        _require(math.isfinite(self.rate) and self.rate > 0.0,
-                 "jumps.rate: must be a positive finite number")
-        _require(math.isfinite(self.jump_rate) and self.jump_rate > 0.0,
-                 "jumps.jump_rate: must be a positive finite number")
+        _check_field(self, "rate")
+        _check_field(self, "jump_rate")
 
     def psi_part(self, lam):
         return -self.rate * lam / (self.jump_rate + lam)
@@ -153,25 +154,26 @@ class ExpJumps:
         return 2.0 * self.rate * self.jump_rate / (self.jump_rate + lam) ** 3
 
     def tail(self, x):
-        x = np.asarray(x, dtype=float)
         return self.rate * np.exp(-self.jump_rate * x)
 
     def density(self, u):
-        u = np.asarray(u, dtype=float)
         return self.rate * self.jump_rate * np.exp(-self.jump_rate * u)
 
     def tail_transform(self, r):
-        r = np.asarray(r, dtype=float)
         mu = self.jump_rate
         return self.rate * r / (mu * (mu + r))
 
     def tail_moment(self, r):
-        r = np.asarray(r, dtype=float)
         return self.rate / (self.jump_rate + r) ** 2
 
     @property
     def mean_at_zero(self):
         return -self.rate / self.jump_rate
+
+
+def _check_alpha(jumps):
+    alpha = _check_field(jumps, "alpha", 1.0)
+    _require(alpha < 2.0, f"jumps.alpha must lie in the open interval (1, 2), got {alpha}")
 
 
 def _stable_front(alpha, scale):
@@ -195,10 +197,8 @@ class StableJumps:
     infinite_variation = True
 
     def __post_init__(self):
-        _require(math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0,
-                 "jumps.alpha: must lie in the open interval (1, 2)")
-        _require(math.isfinite(self.scale) and self.scale > 0.0,
-                 "jumps.scale: must be a positive finite number")
+        _check_alpha(self)
+        _check_field(self, "scale")
 
     def psi_part(self, lam):
         return self.scale * _base(lam) ** self.alpha
@@ -212,22 +212,18 @@ class StableJumps:
             return self.scale * a * (a - 1.0) * _base(lam) ** (a - 2.0)
 
     def tail(self, x):
-        x = np.asarray(x, dtype=float)
         k = _stable_front(self.alpha, self.scale)
         return (k / self.alpha) * np.power(x, -self.alpha)
 
     def density(self, u):
-        u = np.asarray(u, dtype=float)
         k = _stable_front(self.alpha, self.scale)
         return k * np.power(u, -1.0 - self.alpha)
 
     def tail_transform(self, r):
-        r = np.asarray(r, dtype=float)
         return self.scale * np.power(r, self.alpha - 1.0)
 
     def tail_moment(self, r):
         # +inf at r = 0, where u * pi_tail(u) ~ u**(1 - alpha) is not integrable
-        r = np.asarray(r, dtype=float)
         a = self.alpha
         with np.errstate(divide="ignore"):
             return self.scale * (a - 1.0) * np.power(r, a - 2.0)
@@ -263,13 +259,10 @@ class TemperedStableJumps:
     infinite_variation = True
 
     def __post_init__(self):
-        _require(math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0,
-                 "jumps.alpha: must lie in the open interval (1, 2)")
-        _require(math.isfinite(self.scale) and self.scale > 0.0,
-                 "jumps.scale: must be a positive finite number")
-        _require(math.isfinite(self.tempering) and self.tempering > 0.0,
-                 "jumps.tempering: must be a positive finite number "
-                 "(use family 'stable' for tempering = 0)")
+        # tempering = 0 is family 'stable'
+        _check_alpha(self)
+        _check_field(self, "scale")
+        _check_field(self, "tempering")
 
     def psi_part(self, lam):
         # theta**alpha from the pow that takes (lam + theta)**alpha, so psi(0) = 0
@@ -288,7 +281,6 @@ class TemperedStableJumps:
     def tail(self, x):
         # integration by parts twice; the last term is the upper incomplete
         # gamma of positive argument 2 - alpha
-        x = np.asarray(x, dtype=float)
         a, th = self.alpha, self.tempering
         k = _stable_front(a, self.scale)
         e = np.exp(-th * x)
@@ -300,19 +292,18 @@ class TemperedStableJumps:
         )
 
     def density(self, u):
-        u = np.asarray(u, dtype=float)
         k = _stable_front(self.alpha, self.scale)
         return k * np.exp(-self.tempering * u) * np.power(u, -1.0 - self.alpha)
 
     def tail_transform(self, r):
         # scale*[((r+theta)**alpha - theta**alpha)/r - alpha*theta**(alpha-1)]
         a, th = self.alpha, self.tempering
-        transform = _tempered_tail(a, np.asarray(r, dtype=float) / th, "transform")
+        transform = _tempered_tail(a, r / th, "transform")
         return self.scale * th ** (a - 1.0) * transform
 
     def tail_moment(self, r):
         a, th = self.alpha, self.tempering
-        moment = _tempered_tail(a, np.asarray(r, dtype=float) / th, "moment")
+        moment = _tempered_tail(a, r / th, "moment")
         return self.scale * th ** (a - 2.0) * moment
 
     @property
@@ -354,33 +345,28 @@ def _binomials(alpha):
     return out
 
 
-_PARTS = ("transform", "moment")
-
-
-def _tempered_series(alpha, s, parts=_PARTS):
-    # sum_{n>=2} C(alpha, n) s**(n-1) ("transform") and its s-derivative
-    # ("moment"), each computed only when asked for in parts
+def _tempered_series(alpha, s, part):
+    # sum_{n>=2} C(alpha, n) s**(n-1) ("transform") or its s-derivative ("moment")
     c = _binomials(alpha)
     k = np.arange(c.size)  # n - 2
     powers = s[:, None] ** k
-    return tuple(s * (powers @ c) if part == "transform" else powers @ ((k + 1.0) * c)
-                 for part in parts)
+    return s * (powers @ c) if part == "transform" else powers @ ((k + 1.0) * c)
 
 
-def _tempered_direct(alpha, s, parts=_PARTS):
-    # ((1+s)**alpha - 1)/s - alpha and its s-derivative, as asked for in parts
+def _tempered_direct(alpha, s, part):
+    # ((1+s)**alpha - 1)/s - alpha ("transform") or its s-derivative ("moment")
     grown = np.expm1(alpha * np.log1p(s)) / s
-    return tuple(grown - alpha if part == "transform"
-                 else (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s
-                 for part in parts)
+    if part == "transform":
+        return grown - alpha
+    return (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s
 
 
 def _tempered_tail(alpha, s, part):
     flat = np.atleast_1d(s).ravel()
     out = np.empty_like(flat)
     small = flat < _SERIES_SWITCH
-    (out[small],) = _tempered_series(alpha, flat[small], (part,))
-    (out[~small],) = _tempered_direct(alpha, flat[~small], (part,))
+    out[small] = _tempered_series(alpha, flat[small], part)
+    out[~small] = _tempered_direct(alpha, flat[~small], part)
     return out.reshape(np.shape(s))
 
 
@@ -426,9 +412,12 @@ class LevyModel:
     )
 
     def __post_init__(self):
-        _require(math.isfinite(self.gamma), "gamma: must be a finite number")
-        _require(math.isfinite(self.sigma2) and self.sigma2 >= 0.0,
-                 "sigma2: must be a nonnegative finite number")
+        _check_field(self, "gamma", -math.inf, prefix="")
+        _check_field(self, "sigma2", strict=False, prefix="")
+        families = tuple(_FAMILIES.values())
+        if not isinstance(self.jumps, families):
+            raise BadParameterError(f"jumps must be one of {[c.__name__ for c in families]}, "
+                                    f"got {self.jumps!r}")
         if self.sigma2 == 0.0 and not self.jumps.infinite_variation:
             raise BoundedVariationError(
                 "paths have bounded variation (sigma2 = 0 and the jump part "
@@ -474,7 +463,7 @@ class LevyModel:
 
     def pi_tail(self, x):
         """Mass of jumps below -x, for x > 0."""
-        return _maybe_scalar(self.jumps.tail(_check_arg("pi_tail: x", x, points=True)), x)
+        return self.jumps.tail(_check_arg("pi_tail: x", x, points=True))
 
     def ladder_exponent(self, lam):
         """Descending ladder height exponent kappa_hat(lam) = psi(lam)/(lam - phi(0)).

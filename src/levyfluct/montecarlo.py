@@ -48,6 +48,7 @@ from .errors import (
     InversionFailure,
     WrongRegimeError,
     _check_arg,
+    _check_int,
 )
 from .model import ExpJumps, LevyModel, NoJumps, Regime, StableJumps, TemperedStableJumps
 from .scale import make_engine
@@ -67,7 +68,6 @@ __all__ = [
     "estimate_survival",
 ]
 
-_U64 = (1 << 64) - 1
 # paths sharing one random stream
 _BLOCK_PATHS = 16384
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
@@ -125,27 +125,17 @@ class MCConfig:
     small_jump_mode: str = "gaussian-compensation"
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise BadConfigError(f"dt must be finite and > 0, got {self.dt}")
-        for name in ("paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadConfigError(f"{name} must be an integer, got {value!r}")
-        if self.paths < 1:
-            raise BadConfigError(f"paths must be >= 1, got {self.paths}")
-        if not 0 <= self.seed <= _U64:
-            raise BadConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # each setting is checked once and kept as the float or int the check returns
+        keep = functools.partial(object.__setattr__, self)
+        keep("dt", _check_arg("dt", self.dt, error=BadConfigError))
+        keep("paths", _check_int("paths", self.paths, 1, error=BadConfigError))
+        keep("seed", _check_int("seed", self.seed, bits=64, error=BadConfigError))
         if self.horizon is not None:
-            if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
-                raise BadConfigError(
-                    f"horizon must be finite and >= dt, got {self.horizon}"
-                )
-        if self.small_jump_cutoff is not None and not (
-            math.isfinite(self.small_jump_cutoff) and self.small_jump_cutoff > 0.0
-        ):
-            raise BadConfigError(
-                f"small_jump_cutoff must be > 0, got {self.small_jump_cutoff}"
-            )
+            keep("horizon", _check_arg("horizon", self.horizon, self.dt, strict=False,
+                                       error=BadConfigError))
+        if self.small_jump_cutoff is not None:
+            keep("small_jump_cutoff", _check_arg("small_jump_cutoff", self.small_jump_cutoff,
+                                                 error=BadConfigError))
         if self.small_jump_mode not in ("gaussian-compensation", "drift-only"):
             raise BadConfigError(
                 "small_jump_mode must be 'gaussian-compensation' or "
@@ -327,7 +317,7 @@ def _plan(model, config):
 
 def _resolve_horizon(model, config, units=50.0):
     if config.horizon is not None:
-        return float(config.horizon)
+        return config.horizon
     mean = model.mean
     if mean == 0.0:
         raise BadConfigError(
@@ -339,7 +329,7 @@ def _resolve_horizon(model, config, units=50.0):
 def _stream(seed, index):
     # the index-th independent stream of a seed: numpy's spawn keys of a
     # SeedSequence drive the fast SFC64 bit generator
-    key = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    key = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -434,13 +424,11 @@ def simulate_path(model, config, stream_index, level=None):
 
     if not isinstance(model, LevyModel):
         raise BadParameterError("simulate_path needs a LevyModel")
-    if (isinstance(stream_index, bool) or not isinstance(stream_index, (int, np.integer))
-            or not 0 <= stream_index <= _U64):
-        raise BadParameterError(
-            f"stream_index must be an integer in [0, 2**64), got {stream_index!r}")
-    level = None if level is None else float(level)
-    if level is not None and not (math.isfinite(level) and level < 0.0):
-        raise BadParameterError(f"watched level must be finite and below 0, got {level}")
+    stream_index = _check_int("stream_index", stream_index, bits=64)
+    if level is not None:
+        level = _check_arg("level", level, -math.inf)
+        if level >= 0.0:
+            raise BadParameterError(f"level must be below 0, got {level}")
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
     rng = _stream(config.seed, stream_index)

@@ -451,11 +451,10 @@ def _excursion_checks(engine, tol):
 def _mc_configs(model, paths, dt, seed):
     # the martingale check's config, every path run to t = 1, and the
     # estimators'; a bad setting raises BadConfigError naming it
-    if dt > 1.0:
-        raise BadConfigError(f"dt must be <= 1, the martingale check's horizon, got {dt}")
-    cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed,
-                              horizon=None if model.mean != 0.0 else 12.0)
-    return replace(cfg, horizon=1.0), cfg
+    cfg = montecarlo.MCConfig(dt=dt, paths=paths, seed=seed)
+    if cfg.dt > 1.0:
+        raise BadConfigError(f"dt must be <= 1, the martingale check's horizon, got {cfg.dt}")
+    return replace(cfg, horizon=1.0), replace(cfg, horizon=None if model.mean != 0.0 else 12.0)
 
 
 def _mc_checks(model, tol, paths, dt, seed):

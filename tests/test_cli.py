@@ -259,6 +259,7 @@ def test_simulate_flag_overrides_config(model_files, tmp_path, capsys):
     ('{"paths": "many"}', "paths"),
     ('{"seed": 1.5}', "seed"),
     ('{"smallJumpMode": ["DriftOnly"]}', "smallJumpMode"),
+    ('{"smallJumpMode": "drift-only"}', "smallJumpMode"),
     ('{"dtt": 1e-3}', "dtt"),
 ])
 def test_simulate_rejects_malformed_config_field(model_files, tmp_path, capsys, fields, name):

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from levyfluct import (
+    BadConfigError,
     BadParameterError,
+    ExpJumps,
+    LevyModel,
     MCConfig,
+    StableJumps,
+    TemperedStableJumps,
     conditioned_resolvent_density,
     entrance_law_laplace,
     estimate_upcross_laplace,
@@ -18,6 +23,8 @@ from levyfluct import (
     make_engine,
     martingale_check,
     mittag_leffler,
+    run_validation,
+    simulate_path,
     w_series_check,
 )
 from levyfluct.errors import _check_arg
@@ -123,7 +130,70 @@ def test_zero_dimensional_array_counts_as_a_number(engine_b):
     pytest.param(lambda e: h_beta(e, "0.5", 0.7), "beta", id="h_beta-beta-numeric-str"),
     pytest.param(lambda e: e.model.phi("2"), "phi: q", id="phi-q-str"),
     pytest.param(lambda e: mittag_leffler(1.5, 1.0, [1.0]), "z", id="ml-z-list"),
+    pytest.param(lambda e: entrance_law_laplace(e, 0.5, lambda x: 1.0, "ab"), "support",
+                 id="entrance-support-str"),
+    pytest.param(lambda e: simulate_path(e.model, _MC, 0, "x"), "level", id="path-level-str"),
+    pytest.param(lambda e: _check_arg("x", True), "x", id="bool"),
+    pytest.param(lambda e: _check_arg("x", np.array([True]), points=True), "x", id="bool-array"),
 ])
 def test_values_that_are_not_real_numbers_are_rejected_by_name(engine_b, call, name):
     with pytest.raises(BadParameterError, match=rf"^{name} must be a real number, got "):
         call(engine_b)
+
+
+# a valid value of every real field of the constructors; each field is
+# checked once, at construction, and kept as a float
+_FIELDS = {
+    LevyModel: {"gamma": 1.0, "sigma2": 1.0},
+    ExpJumps: {"rate": 1.0, "jump_rate": 2.0},
+    StableJumps: {"alpha": 1.5, "scale": 1.0},
+    TemperedStableJumps: {"alpha": 1.5, "scale": 1.0, "tempering": 1.0},
+    MCConfig: {"dt": 1e-2, "horizon": 1.0, "small_jump_cutoff": 0.1},
+}
+_NOT_REAL = {"nan": NAN, "inf": INF, "-inf": -INF, "None": None, "str": "x", "list": [1.0],
+             "array": np.array([1.0, 2.0]), "complex": 1 + 0j, "bool": True}
+
+
+# each of these raised a builtins TypeError, or was accepted, before the
+# constructors went through the one argument check.  None is a valid
+# horizon and small_jump_cutoff: it picks their default
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{label}")
+    for cls, kw in _FIELDS.items() for name in kw for label, value in _NOT_REAL.items()
+    if not (value is None and name in ("horizon", "small_jump_cutoff"))
+])
+def test_constructors_reject_a_bad_real_field_by_name(cls, name, value):
+    error = BadConfigError if cls is MCConfig else BadParameterError
+    prefix = "" if cls in (LevyModel, MCConfig) else r"jumps\."
+    kwargs = {**_FIELDS[cls], name: value, **({"paths": 10} if cls is MCConfig else {})}
+    with pytest.raises(error, match=rf"^{prefix}{name} must be "):
+        cls(**kwargs)
+
+
+def test_model_rejects_jumps_outside_the_families():
+    with pytest.raises(BadParameterError, match=r"^jumps must be one of"):
+        LevyModel(gamma=1.0, sigma2=1.0, jumps="cp")
+
+
+def test_validation_checks_its_monte_carlo_settings():
+    with pytest.raises(BadConfigError, match=r"^dt must be a real number"):
+        run_validation(bm(1.0), with_mc=True, dt=None)
+    with pytest.raises(BadConfigError, match=r"^dt must be <= 1"):
+        run_validation(bm(1.0), with_mc=True, dt=2.0)
+
+
+@pytest.mark.parametrize("convert", [np.float64, np.float32, np.int64, np.array],
+                         ids=["float64", "float32", "int64", "0-d"])
+def test_numpy_fields_give_the_float_model(convert):
+    # fields given as numpy scalars or 0-d arrays are stored as floats: the
+    # model is equal and hash-equal to the float one, and phi agrees bitwise
+    want = LevyModel(gamma=1.0, sigma2=1.0, jumps=ExpJumps(rate=1.0, jump_rate=2.0))
+    got = LevyModel(gamma=convert(1), sigma2=convert(1),
+                    jumps=ExpJumps(rate=convert(1), jump_rate=convert(2)))
+    assert got == want and hash(got) == hash(want)
+    assert all(type(v) is float
+               for v in (got.gamma, got.sigma2, got.jumps.rate, got.jumps.jump_rate))
+    assert got.phi(0.5) == want.phi(0.5)
+    cfg = MCConfig(dt=convert(1), paths=np.int64(10), seed=np.uint64(3), horizon=convert(2))
+    assert cfg == MCConfig(dt=1.0, paths=10, seed=3, horizon=2.0)
+    assert type(cfg.dt) is float and type(cfg.paths) is int and type(cfg.seed) is int

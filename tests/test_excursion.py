@@ -17,7 +17,6 @@ from levyfluct import (
     inverse_local_time,
     occupation_overshoot_identity,
     overshoot_mass,
-    subordinator_drift,
 )
 
 
@@ -205,11 +204,6 @@ def test_inverse_local_time_exponent(engine_b):
     for lam in (0.5, 2.5):
         assert inverse_local_time(engine_b, lam) == pytest.approx(
             m.psi_prime(m.phi(lam)), rel=1e-12)
-
-
-def test_inverse_local_time_has_no_drift(engine_bm0, engine_b, engine_stable):
-    for e in (engine_bm0, engine_b, engine_stable):
-        assert subordinator_drift(e) <= 1e-6
 
 
 def test_constant_a_by_regime(engine_bm0, engine_b, engine_stable, engine_tempered):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from levyfluct import (
+    InversionFailure,
+    LevyModel,
+    TemperedStableJumps,
     conditioned_resolvent_density,
     creeping_probability,
     g_family,
@@ -159,6 +162,21 @@ def test_creeping_brownian_is_passage(engine_bm_up):
     for x in (0.5, 1.0, 2.0):
         assert creeping_probability(engine_bm_up, x) == pytest.approx(
             math.exp(-2.0 * x), rel=1e-10)
+
+
+def test_creeping_reads_no_w_when_phi0_is_zero(monkeypatch):
+    # drifting up, so phi(0) = 0 and (sigma2/2)(W' - phi(0) W) is W' alone:
+    # W^(0) is not evaluated.  W'^(0)(5) of this model has decayed below
+    # the contour's noise floor and still raises, naming the point
+    engine = make_engine(LevyModel(gamma=1.0, sigma2=0.5,
+                                   jumps=TemperedStableJumps(alpha=1.5, scale=1.0, tempering=1.0)))
+    calls = []
+    w = engine.w
+    monkeypatch.setattr(engine, "w", lambda *args: calls.append(args) or w(*args))
+    assert creeping_probability(engine, 2.0) == 0.25 * engine.w_prime(0.0, 2.0)
+    assert calls == []
+    with pytest.raises(InversionFailure, match="x=5.0"):
+        creeping_probability(engine, 5.0)
 
 
 def test_survival_zero_without_upward_drift(engine_bm0, engine_bm_down):

@@ -408,17 +408,26 @@ def test_tempered_tail_series_meets_direct_form(alpha):
     from levyfluct.model import _SERIES_SWITCH, _tempered_direct, _tempered_series
 
     s = _SERIES_SWITCH * np.array([0.9, 0.999, 1.0, 1.001, 1.1])
-    for series, direct in zip(_tempered_series(alpha, s), _tempered_direct(alpha, s)):
+    for part in ("transform", "moment"):
+        series, direct = _tempered_series(alpha, s, part), _tempered_direct(alpha, s, part)
         assert np.max(np.abs(series - direct) / np.abs(direct)) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.6, 1.95])
 def test_tempered_tail_parts_computed_alone_are_bit_identical(alpha):
-    # tail_transform and tail_moment each compute only their own part
-    from levyfluct.model import _tempered_direct, _tempered_series
+    # tail_transform and tail_moment each compute only their own part, bit
+    # for bit what the two parts computed together give
+    from levyfluct.model import _binomials, _tempered_direct, _tempered_series
 
     s = np.concatenate([np.logspace(-6, np.log10(0.49), 20), np.logspace(0, 3, 20)])
-    for branch in (_tempered_series, _tempered_direct):
-        transform, moment = branch(alpha, s)
-        assert np.array_equal(branch(alpha, s, ("transform",))[0], transform)
-        assert np.array_equal(branch(alpha, s, ("moment",))[0], moment)
+    c = _binomials(alpha)
+    k = np.arange(c.size)
+    powers = s[:, None] ** k
+    grown = np.expm1(alpha * np.log1p(s)) / s
+    both = {
+        _tempered_series: (s * (powers @ c), powers @ ((k + 1.0) * c)),
+        _tempered_direct: (grown - alpha, (alpha * np.power(1.0 + s, alpha - 1.0) - grown) / s),
+    }
+    for branch, (transform, moment) in both.items():
+        assert np.array_equal(branch(alpha, s, "transform"), transform)
+        assert np.array_equal(branch(alpha, s, "moment"), moment)
