@@ -333,7 +333,11 @@ def entrance_law_laplace(engine, q, f, support):
     or a constant that broadcasts against them.
     """
     q = _check_arg("q", q)
-    lo, hi = (_check_arg("support", s, -math.inf) for s in support)
+    try:
+        lo, hi = support
+    except (TypeError, ValueError):
+        raise BadParameterError(f"support must be a pair (lo, hi), got {support!r}") from None
+    lo, hi = (_check_arg("support", s, -math.inf) for s in (lo, hi))
     if not lo < hi:
         raise BadParameterError(f"support must be an interval (lo, hi), got {support}")
     m = engine.model

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,10 @@ __all__ = [
 _BLOCK_PATHS = 16384
 # (epoch, path) pairs drawn per sweep round; bounds the round's arrays
 _ROUND_EVENTS = 1 << 16
+# elements per buffer of a _Workspace: a round's arrays take at most
+# _ROUND_EVENTS, and the tempered sampler's candidates for a whole round
+# fit at acceptances down to about 1/2
+_WORK_BOUND = 2 * _ROUND_EVENTS
 # epochs per path in a sweep's first round; each later round at most
 # doubles the one before, so a path that crosses early is not simulated
 # far past its crossing
@@ -213,33 +218,82 @@ class _Plan:
     jump_sign: float = -1.0  # +1.0 in the mirrored (gap) process
     acceptance: float = 1.0  # of the tempered rejection sampler
 
-    def sample_jumps(self, rng, k):
-        # magnitudes of the (negative) jumps, all >= cutoff
-        if k == 0:
-            return np.empty(0)
+    def sample_jumps(self, rng, out, work):
+        # fills the flat array out with magnitudes of the (negative) jumps,
+        # all >= cutoff, and returns it; the tempered sampler draws its
+        # candidates in the buffers of work
+        if out.size == 0:
+            return out
         jumps = self.jumps
         if isinstance(jumps, ExpJumps):
-            return rng.exponential(1.0 / jumps.jump_rate, size=k)
+            rng.standard_exponential(out=out)
+            out *= 1.0 / jumps.jump_rate
+            return out
         if isinstance(jumps, StableJumps):
-            u = 1.0 - rng.random(k)
-            return self.cutoff * u ** (-1.0 / jumps.alpha)
+            return self._power_tail(rng, out)
         # tempered power tail by rejection against the bare power tail.
-        # one pass draws enough candidates for all k except at most about
-        # once in a thousand calls; keeping the first accepted ones in
-        # draw order is still exact, because which are kept depends only
-        # on their count
-        out = []
-        need = k
-        while need:
+        # one pass draws enough candidates for all of out except at most
+        # about once in a thousand calls; keeping the first accepted ones
+        # in draw order is still exact, because which are kept depends
+        # only on their count
+        done = 0
+        while done < out.size:
+            need = out.size - done
             m = int((need + 3.0 * math.sqrt(need) + 8.0) / self.acceptance)
-            u = 1.0 - rng.random(m)
-            cand = self.cutoff * u ** (-1.0 / jumps.alpha)
+            cand = self._power_tail(rng, work.view("cand", (m,)))
             # accept with probability exp(-tempering*(cand - cutoff)),
             # as a standard exponential above the exponent
-            keep = rng.standard_exponential(m) > jumps.tempering * (cand - self.cutoff)
-            out.append(cand[keep][:need])
-            need -= out[-1].size
-        return np.concatenate(out)
+            excess = np.subtract(cand, self.cutoff, out=work.view("excess", (m,)))
+            excess *= jumps.tempering
+            draw = rng.standard_exponential(out=work.view("draw", (m,)))
+            keep = np.greater(draw, excess, out=work.view("keep", (m,), bool))
+            kept = np.flatnonzero(keep)[:need]
+            # mode="clip" writes straight into out, with no temporary copy
+            np.take(cand, kept, out=out[done:done + kept.size], mode="clip")
+            done += kept.size
+        return out
+
+    def _power_tail(self, rng, out):
+        # cutoff * U**(-1/alpha) with U uniform on (0, 1], in place: the
+        # bare power tail above the cutoff
+        rng.random(out=out)
+        np.subtract(1.0, out, out=out)
+        np.power(out, -1.0 / self.jumps.alpha, out=out)
+        out *= self.cutoff
+        return out
+
+
+class _Workspace:
+    # flat float and bool buffers by name, reused from one use to the next.
+    # view() hands out the head of a buffer as a C-ordered array of the
+    # shape asked for, growing the buffer on demand up to _WORK_BOUND
+    # elements; a larger request gets an array of its own, so a workspace
+    # never holds more than that per name.  A view is valid until the next
+    # request of its name
+    def __init__(self):
+        self.buffers = {}
+
+    def view(self, name, shape, dtype=float):
+        n = math.prod(shape)
+        if n > _WORK_BOUND:
+            return np.empty(shape, dtype)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < n:
+            size = n if buf is None else min(_WORK_BOUND, max(n, 2 * buf.size))
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:n].reshape(shape)
+
+
+class _Local(threading.local):
+    # one workspace per thread, kept across calls, for the sweep rounds:
+    # arrays allocated and freed on every round keep the C allocator
+    # growing and trimming its heap, which costs thousands of page faults
+    # per estimator call
+    def __init__(self):
+        self.work = _Workspace()
+
+
+_LOCAL = _Local()
 
 
 def _log_bisect(f, lo, hi):
@@ -344,7 +398,7 @@ def _blocks(config):
 # ---------------------------------------------------------------------------
 
 
-def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
+def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump, work):
     """First crossing below 0 in each column of (epoch, path) arrays.
 
     Column j starts at x0[j] > 0.  Row i is a span of length span[i, j]
@@ -359,16 +413,20 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
     that lands below 0 crosses at its epoch.  Only a column's first event
     counts; the uniforms drawn for its later spans leave that law as is.
 
-    Returns (hit, tau, overshoot, by_jump): hit marks the columns that
+    The masks and the bridge exponent are built in the buffers "cont",
+    "flag", "event", "scratch" and "noise" of the _Workspace ``work``,
+    which must not hold any of the arguments.  Returns (hit, tau,
+    overshoot, by_jump), arrays of their own: hit marks the columns that
     cross, and the other three hold, for those columns in order, the
     crossing time, the distance below 0 just after it (0 for a continuous
     crossing) and whether a jump made it.
     """
 
-    cont = np.less_equal(pre, 0.0, order="C")
+    shape = post.shape
+    cont = np.less_equal(pre, 0.0, out=work.view("cont", shape, bool))
     if sig2 > 0.0:
         # bridge exponent -2 a b / (sigma^2 d), built in one buffer
-        expo = np.empty(post.shape)
+        expo = work.view("scratch", shape)
         expo[0] = x0
         expo[1:] = post[:-1]
         expo *= pre
@@ -378,11 +436,18 @@ def _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump):
         # spans at or below the floor cannot cross (see _EXP_FLOOR); flat
         # indices into the C-ordered arrays select several times faster
         # than a 2-D mask
-        live = np.flatnonzero(expo > _EXP_FLOOR)
+        live = np.flatnonzero(np.greater(expo, _EXP_FLOOR, out=work.view("flag", shape, bool)))
+        p = np.take(expo.ravel(), live, out=work.view("noise", live.shape), mode="clip")
         with np.errstate(over="ignore"):
-            cont.ravel()[live] |= rng.random(live.size) < np.exp(expo.ravel()[live])
-    jump = is_jump & (post < 0.0) & ~cont
-    event = cont | jump
+            np.exp(p, out=p)
+        # the exponent is spent, so the uniforms reuse its buffer
+        u = rng.random(out=work.view("scratch", live.shape))
+        cont.ravel()[live] |= np.less(u, p, out=work.view("flag", live.shape, bool))
+    jump = np.less(post, 0.0, out=work.view("flag", shape, bool))
+    jump &= is_jump
+    event = np.logical_not(cont, out=work.view("event", shape, bool))
+    jump &= event
+    event = np.logical_or(cont, jump, out=event)
     hit = event.any(axis=0)
 
     cols = np.nonzero(hit)[0]
@@ -432,12 +497,13 @@ def simulate_path(model, config, stream_index, level=None):
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
     rng = _stream(config.seed, stream_index)
+    work = _Workspace()
     n = int(round(horizon / config.dt))
     times = np.arange(n + 1) * config.dt
     if plan.rate > 0.0:
         count = rng.poisson(plan.rate * times[-1])
         jump_times = np.sort(rng.random(count)) * times[-1]
-        sizes = -plan.sample_jumps(rng, count)
+        sizes = -plan.sample_jumps(rng, np.empty(count), work)
     else:
         jump_times = sizes = np.empty(0)
 
@@ -461,7 +527,7 @@ def simulate_path(model, config, stream_index, level=None):
     if level is not None:
         hit, tau, overshoot, by_jump = _first_crossing(
             rng, plan.sigma * plan.sigma, np.array([-level]), (post - level)[:, None],
-            (pre - level)[:, None], epochs[:, None], span[:, None], is_jump[:, None],
+            (pre - level)[:, None], epochs[:, None], span[:, None], is_jump[:, None], work,
         )
         if hit[0]:
             stopping = StoppingInfo(level=level, time=float(tau[0]),
@@ -509,11 +575,21 @@ def _sweep_block(plan, rng, m, start, horizon):
     a path that crosses within a few epochs is not simulated far past
     its crossing.
 
-    Returns (crossed, tau, overshoot, by_jump, x_final): overshoot is the
-    distance below 0 just after the crossing (0 for a continuous one) and
-    x_final the position at its horizon of a path that never crossed.
+    Every round works in views of the thread's _Workspace: "span",
+    "epochs", "post", "jumps" (which then holds pre) and "is_jump" live
+    through the round; "noise", "scratch" and "flag" hold the clipped
+    rows' gaps, the normals, the Gaussian part and the clipped jumps
+    until _first_crossing reuses them.  Every draw is written in place,
+    with the same arithmetic in the same order as an allocating form, so
+    the rounds allocate only index arrays and per-path vectors.
+
+    Returns (crossed, tau, overshoot, by_jump, x_final), arrays of their
+    own: overshoot is the distance below 0 just after the crossing (0 for
+    a continuous one) and x_final the position at its horizon of a path
+    that never crossed.
     """
 
+    work = _LOCAL.work
     sig2 = plan.sigma * plan.sigma
     stop = np.broadcast_to(np.asarray(horizon, dtype=float), (m,))
     t = np.zeros(m)
@@ -538,41 +614,44 @@ def _sweep_block(plan, rng, m, start, horizon):
             lam = plan.rate * float((h0 - t0).mean())
             k = max(1, min(_ROUND_EVENTS // r, cap, int(lam + math.sqrt(lam)) + 1))
             cap = 2 * k
-            span = rng.exponential(1.0 / plan.rate, size=(k, r))
-            epochs = _running_sum(span, t0, np.empty((k, r)))
+            span = rng.standard_exponential(out=work.view("span", (k, r)))
+            span *= 1.0 / plan.rate
+            epochs = _running_sum(span, t0, work.view("epochs", (k, r)))
             # the first epoch past a path's horizon becomes the horizon
             # itself and later rows are zero-length padding, which cannot
             # cross; only those rows' spans differ from the gaps.  epochs
             # grow down axis 0, so no path reached its horizon when the
             # last row is all jumps
-            is_jump = epochs < h0
+            is_jump = np.less(epochs, h0, out=work.view("is_jump", (k, r), bool))
             clipped = not is_jump[-1].all()
             if clipped:
                 np.minimum(epochs, h0, out=epochs)
-                # flat indices: a 2-D np.nonzero is several times slower
-                flat = np.flatnonzero(~is_jump)
-                up = flat - r
-                flat_epochs = epochs.ravel()
-                before = np.where(up >= 0, flat_epochs[up], t0[flat % r])
-                span.ravel()[flat] = flat_epochs[flat] - before
+                # a clipped row's span runs from the epoch above it (t0
+                # in the first row)
+                gaps = work.view("scratch", (k, r))
+                np.subtract(epochs[0], t0, out=gaps[0])
+                np.subtract(epochs[1:], epochs[:-1], out=gaps[1:])
+                np.copyto(span, gaps,
+                          where=np.logical_not(is_jump, out=work.view("flag", (k, r), bool)))
         else:
             k = 1
             epochs = h0[None, :]
             is_jump = np.zeros((1, r), dtype=bool)
             span = (h0 - t0)[None, :]
-        post = plan.drift * span
+        post = np.multiply(span, plan.drift, out=work.view("post", (k, r)))
         if sig2 > 0.0:
-            noise = np.sqrt(span)
+            noise = np.sqrt(span, out=work.view("noise", (k, r)))
             noise *= plan.sigma
-            noise *= rng.standard_normal((k, r))
+            noise *= rng.standard_normal(out=work.view("scratch", (k, r)))
             post += noise
         if plan.rate > 0.0:
+            jumps = work.view("jumps", (k, r))
             if clipped:
-                jumps = np.zeros((k, r))
+                jumps.fill(0.0)
                 at = np.flatnonzero(is_jump)
-                jumps.ravel()[at] = plan.sample_jumps(rng, at.size)
+                jumps.ravel()[at] = plan.sample_jumps(rng, work.view("noise", at.shape), work)
             else:
-                jumps = plan.sample_jumps(rng, k * r).reshape(k, r)
+                plan.sample_jumps(rng, jumps.ravel(), work)
             jumps *= plan.jump_sign
             post += jumps
             _running_sum(post, x0, post)
@@ -581,7 +660,8 @@ def _sweep_block(plan, rng, m, start, horizon):
             post += x0
             pre = post
 
-        hit, when, under, by = _first_crossing(rng, sig2, x0, post, pre, epochs, span, is_jump)
+        hit, when, under, by = _first_crossing(rng, sig2, x0, post, pre, epochs, span,
+                                               is_jump, work)
         ids = alive[hit]
         crossed[ids] = True
         tau[ids] = when
@@ -789,6 +869,7 @@ def sample_terminal(model, config):
 
     horizon = _resolve_horizon(model, config)
     plan = _plan(model, config)
+    work = _Workspace()
     out = []
     for index, size in _blocks(config):
         rng = _stream(config.seed, index)
@@ -798,7 +879,7 @@ def sample_terminal(model, config):
         if plan.rate > 0.0:
             counts = rng.poisson(plan.rate * horizon, size=size)
             total = int(counts.sum())
-            sizes = plan.sample_jumps(rng, total)
+            sizes = plan.sample_jumps(rng, np.empty(total), work)
             owner = np.repeat(np.arange(size), counts)
             np.subtract.at(x, owner, sizes)
         out.append(x)

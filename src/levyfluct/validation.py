@@ -457,9 +457,9 @@ def _mc_configs(model, paths, dt, seed):
     return replace(cfg, horizon=1.0), replace(cfg, horizon=None if model.mean != 0.0 else 12.0)
 
 
-def _mc_checks(model, tol, paths, dt, seed):
+def _mc_checks(model, tol, cfg, estimator_cfg):
+    # cfg and estimator_cfg as _mc_configs gives them
     out = []
-    cfg, estimator_cfg = _mc_configs(model, paths, dt, seed)
     for lam in (0.5, 1.0):
         est = montecarlo.martingale_check(model, cfg, lam)
         z = abs(est.mean - 1.0) / max(est.stderr, 1e-300)
@@ -507,10 +507,12 @@ def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
             raise KeyError(f"unknown check name(s) in tolerance overrides: {unknown}")
         tol.update((name, _check_arg(name, value, strict=False))
                    for name, value in tolerances.items())
+    # a bad Monte Carlo setting raises before any suite has run
+    configs = _mc_configs(model, paths, dt, seed) if with_mc else None
     engine = make_engine(model)
 
     checks = (_model_checks(model, tol) + _scale_checks(engine, tol)
               + _fluct_checks(engine, tol) + _excursion_checks(engine, tol))
     if with_mc:
-        checks += _mc_checks(model, tol, paths, dt, seed)
+        checks += _mc_checks(model, tol, *configs)
     return ValidationReport(model=model_to_dict(model), checks=tuple(checks))

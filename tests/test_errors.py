@@ -175,11 +175,26 @@ def test_model_rejects_jumps_outside_the_families():
         LevyModel(gamma=1.0, sigma2=1.0, jumps="cp")
 
 
-def test_validation_checks_its_monte_carlo_settings():
+def test_validation_checks_its_monte_carlo_settings(monkeypatch):
+    # before any suite has run, so a bad setting costs no report
+    from levyfluct import validation
+
+    suites = []
+    monkeypatch.setattr(validation, "_model_checks", lambda *args: suites.append(args) or [])
     with pytest.raises(BadConfigError, match=r"^dt must be a real number"):
         run_validation(bm(1.0), with_mc=True, dt=None)
     with pytest.raises(BadConfigError, match=r"^dt must be <= 1"):
         run_validation(bm(1.0), with_mc=True, dt=2.0)
+    with pytest.raises(BadConfigError, match=r"^paths must be an integer"):
+        run_validation(bm(1.0), with_mc=True, paths=2.5)
+    assert suites == []
+
+
+@pytest.mark.parametrize("support", [(1.0, 2.0, 3.0), (1.0,), None, 5.0],
+                         ids=["triple", "single", "none", "number"])
+def test_support_that_is_not_a_pair_is_rejected_by_name(engine_b, support):
+    with pytest.raises(BadParameterError, match=r"^support must be a pair \(lo, hi\), got "):
+        entrance_law_laplace(engine_b, 0.5, lambda x: 1.0, support)
 
 
 @pytest.mark.parametrize("convert", [np.float64, np.float32, np.int64, np.array],

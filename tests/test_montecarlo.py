@@ -28,6 +28,7 @@ from levyfluct import (
     sample_terminal,
     simulate_path,
 )
+from levyfluct.montecarlo import _Workspace
 from conftest import bm, model_b, stable_sn
 
 
@@ -369,7 +370,7 @@ def test_first_crossing_on_linear_spans():
     is_jump = np.array([[False, True, False, False, True], [False, False, True, True, False],
                         [False, False, False, False, False]])
     hit, tau, overshoot, by_jump = _first_crossing(
-        None, 0.0, np.ones(5), post, pre, epochs, span, is_jump)
+        None, 0.0, np.ones(5), post, pre, epochs, span, is_jump, _Workspace())
     np.testing.assert_array_equal(hit, [True, True, True, False, True])
     # 2 - 2 + 2 * 1/(1 + 3): exact in binary
     np.testing.assert_array_equal(tau, [0.5, 1.0, 2.0, 0.5])
@@ -390,7 +391,7 @@ def test_first_crossing_draws_no_uniform_below_the_grain(side, draws):
     one = np.ones((1, 1))
     rng = _stream(5, 0)
     hit, tau, _, _ = _first_crossing(rng, 1.0, np.ones(1), b, b, one, one,
-                                     np.zeros((1, 1), dtype=bool))
+                                     np.zeros((1, 1), dtype=bool), _Workspace())
     assert not hit[0] and tau.size == 0
     assert rng.random() == _stream(5, 0).random(draws + 1)[-1]
 
@@ -567,12 +568,12 @@ class _CountingRng:
         self.rng = np.random.default_rng(seed)
         self.batches = 0
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         self.batches += 1
-        return self.rng.random(size)
+        return self.rng.random(size, out=out)
 
-    def standard_exponential(self, size):
-        return self.rng.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        return self.rng.standard_exponential(size, out=out)
 
 
 def _jump_plan(case):
@@ -607,7 +608,7 @@ def test_sampler_matches_exact_jump_law(case):
     if case == "tempered-rare":
         assert 0.05 < plan.acceptance < 0.15
     rng = _CountingRng(101)
-    y = plan.sample_jumps(rng, 20000)
+    y = plan.sample_jumps(rng, np.empty(20000), _Workspace())
     assert y.shape == (20000,) and y.min() >= eps
     tail_eps = float(jumps.tail(eps))
     _, p = stats.kstest(y, lambda v: 1.0 - jumps.tail(np.maximum(v, eps)) / tail_eps)
@@ -634,7 +635,7 @@ def test_sampler_top_up_keeps_the_law():
 
     jumps, plan = _jump_plan("tempered-rare")
     rng = _CountingRng(7)
-    y = replace(plan, acceptance=1.0).sample_jumps(rng, 20000)
+    y = replace(plan, acceptance=1.0).sample_jumps(rng, np.empty(20000), _Workspace())
     assert rng.batches > 1
     assert y.shape == (20000,)
     tail_eps = float(jumps.tail(plan.cutoff))
@@ -646,7 +647,7 @@ def test_sampler_top_up_keeps_the_law():
 @pytest.mark.parametrize("case", ["power", "tempered", "tempered-rare"])
 def test_sampler_zero_jumps_is_empty(case):
     _, plan = _jump_plan(case)
-    out = plan.sample_jumps(np.random.default_rng(0), 0)
+    out = plan.sample_jumps(np.random.default_rng(0), np.empty(0), _Workspace())
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
@@ -774,3 +775,142 @@ def test_sweep_rounds_start_short_and_at_most_double(monkeypatch):
     assert ks[0] <= 8 and max(ks) > 8
     assert all(later <= 2 * k for k, later in zip(ks, ks[1:]))
     assert all(k * r <= _ROUND_EVENTS for k, r in shapes)
+
+
+# ---------------------------------------------------------------------------
+# round workspace: draws written in place, bitwise as before
+# ---------------------------------------------------------------------------
+
+# drifting models of the four families, as in the mc benchmark
+_PIN_MODELS = {
+    "bm": bm(1.0),
+    "cp": LevyModel(gamma=2.0, sigma2=1.0, jumps=ExpJumps(rate=1.0, jump_rate=2.0)),
+    "stable": LevyModel(gamma=1.0, sigma2=0.0, jumps=StableJumps(alpha=1.5, scale=0.5)),
+    "tempered": _mc_tempered(),
+}
+_PIN_CALLS = {
+    "passage": lambda m, c: estimate_passage_below_laplace(m, c, 1.0, 2.5),
+    "upcross": lambda m, c: estimate_upcross_laplace(m, c, 1.0, 2.5),
+    "survival": lambda m, c: estimate_survival(m, c, 1.0),
+    "creeping": lambda m, c: estimate_creeping(m, c, 1.0),
+    "martingale": lambda m, c: martingale_check(m, replace(c, horizon=1.0), 0.5),
+}
+# repr of each Estimate at MCConfig(dt=1e-2, paths=2000, seed), as the
+# allocating sweep rounds gave them; creeping on the tempered model raises
+# InversionFailure (see test_tempered_creeping_fails_fast_and_names_the_tail)
+_PINNED = {
+    ("bm", "passage", 3): "Estimate(mean=0.028556790252347967, stderr=0.0023009951232560075, n=2000, analytic_target=0.03176183895152091, z_score=-1.3928967805188832, crossings=233, truncation_allowance=4.56453262911225e-55)",
+    ("bm", "upcross", 3): "Estimate(mean=0.23066703183009282, stderr=0.004591195244454885, n=2000, analytic_target=0.23469000981798865, z_score=-0.8762376186799439, crossings=1831, truncation_allowance=4.365625434747993e-56)",
+    ("bm", "survival", 3): "Estimate(mean=0.8632521684726828, stderr=0.0076500607704720535, n=2000, analytic_target=0.8646647167633873, z_score=-0.1846453685906225, crossings=None, truncation_allowance=0.0)",
+    ("bm", "creeping", 3): "Estimate(mean=0.13674783152731732, stderr=0.007650060770472054, n=2000, analytic_target=0.1353352832366127, z_score=0.18464536859064062, crossings=271, truncation_allowance=0.0)",
+    ("bm", "martingale", 3): "Estimate(mean=1.0243944655787527, stderr=0.012532156910306591, n=2000, analytic_target=1.0, z_score=1.9465496445141377, crossings=None, truncation_allowance=None)",
+    ("cp", "passage", 3): "Estimate(mean=0.05121333276975409, stderr=0.003665043123082721, n=2000, analytic_target=0.05430819607872015, z_score=-0.844427529235435, crossings=267, truncation_allowance=5.57906911730054e-37)",
+    ("cp", "upcross", 3): "Estimate(mean=0.33063321039568416, stderr=0.004935773104839116, n=2000, analytic_target=0.3272024530937507, z_score=0.6950800267884908, crossings=1932, truncation_allowance=2.189132717694384e-38)",
+    ("cp", "survival", 3): "Estimate(mean=0.8635909432405766, stderr=0.007596359898144916, n=2000, analytic_target=0.8548917337225272, z_score=1.1451813282535197, crossings=None, truncation_allowance=0.0)",
+    ("cp", "creeping", 3): "Estimate(mean=0.06248783174588553, stderr=0.005354254375693194, n=2000, analytic_target=0.06641549497585197, z_score=-0.73355932579463, crossings=266, truncation_allowance=0.0)",
+    ("cp", "martingale", 3): "Estimate(mean=1.0278476394733815, stderr=0.014028339530811562, n=2000, analytic_target=1.0, z_score=1.9850987646982412, crossings=None, truncation_allowance=None)",
+    ("stable", "passage", 3): "Estimate(mean=0.04132973969418283, stderr=0.0033643543693884542, n=2000, analytic_target=0.04231580999968208, z_score=-0.29309347269458313, crossings=256, truncation_allowance=4.505118791834615e-55)",
+    ("stable", "upcross", 3): "Estimate(mean=0.21348467604604926, stderr=0.00312491885444853, n=2000, analytic_target=0.2138870786093569, z_score=-0.1287721640306915, crossings=1902, truncation_allowance=2.531546110090552e-56)",
+    ("stable", "survival", 3): "Estimate(mean=0.7566189832760796, stderr=0.0072174421908594395, n=2000, analytic_target=0.7446043236972452, z_score=1.6646700120508655, crossings=None, truncation_allowance=0.0)",
+    ("stable", "creeping", 3): "Estimate(mean=0.005, stderr=0.0015775754727384973, n=2000, analytic_target=0.0, z_score=3.1694204723660864, crossings=307, truncation_allowance=0.0)",
+    ("stable", "martingale", 3): "Estimate(mean=1.0119468814088775, stderr=0.00893277089684065, n=2000, analytic_target=1.0, z_score=1.337421674287296, crossings=None, truncation_allowance=None)",
+    ("tempered", "passage", 3): "Estimate(mean=0.06078768739995512, stderr=0.003720345373395771, n=2000, analytic_target=0.0587545657073786, z_score=0.5464873522537426, crossings=386, truncation_allowance=4.169301450700154e-55)",
+    ("tempered", "upcross", 3): "Estimate(mean=0.24542009068478557, stderr=0.004683608450646991, n=2000, analytic_target=0.2473866436406101, z_score=-0.41987988034159485, crossings=1841, truncation_allowance=4.107304403106099e-56)",
+    ("tempered", "survival", 3): "Estimate(mean=0.7864631002595728, stderr=0.009081362259066746, n=2000, analytic_target=0.7944154294662658, z_score=-0.8756758049986879, crossings=None, truncation_allowance=0.0)",
+    ("tempered", "martingale", 3): "Estimate(mean=1.0229271444898216, stderr=0.013054637890410548, n=2000, analytic_target=1.0, z_score=1.7562451507492989, crossings=None, truncation_allowance=None)",
+    ("bm", "passage", 8): "Estimate(mean=0.028441345139343134, stderr=0.0023643234450167814, n=2000, analytic_target=0.03176183895152091, z_score=-1.4044160578690235, crossings=245, truncation_allowance=4.533534105315223e-55)",
+    ("bm", "upcross", 8): "Estimate(mean=0.23379612789115883, stderr=0.00471451360685511, n=2000, analytic_target=0.23469000981798865, z_score=-0.18960215228355198, crossings=1825, truncation_allowance=4.520618053733128e-56)",
+    ("bm", "survival", 8): "Estimate(mean=0.8690475920593824, stderr=0.007516075011469599, n=2000, analytic_target=0.8646647167633873, z_score=0.5831335223912505, crossings=None, truncation_allowance=0.0)",
+    ("bm", "creeping", 8): "Estimate(mean=0.13095240794061766, stderr=0.007516075011469599, n=2000, analytic_target=0.1353352832366127, z_score=-0.5831335223912394, crossings=260, truncation_allowance=0.0)",
+    ("bm", "martingale", 8): "Estimate(mean=1.0021493921955729, stderr=0.012087128974343735, n=2000, analytic_target=1.0, z_score=0.17782487471881747, crossings=None, truncation_allowance=None)",
+    ("cp", "passage", 8): "Estimate(mean=0.05911840369211995, stderr=0.004130606133001631, n=2000, analytic_target=0.05430819607872015, z_score=1.164528269826665, crossings=280, truncation_allowance=5.537218050638735e-37)",
+    ("cp", "upcross", 8): "Estimate(mean=0.33246181675137776, stderr=0.004901282329418055, n=2000, analytic_target=0.3272024530937507, z_score=1.0730587026296732, crossings=1948, truncation_allowance=1.6740426664721756e-38)",
+    ("cp", "survival", 8): "Estimate(mean=0.8570469924196205, stderr=0.007756915217192896, n=2000, analytic_target=0.8548917337225272, z_score=0.2778499747317289, crossings=None, truncation_allowance=0.0)",
+    ("cp", "creeping", 8): "Estimate(mean=0.06462096456127797, stderr=0.00545069162071461, n=2000, analytic_target=0.06641549497585197, z_score=-0.32922985548368483, crossings=281, truncation_allowance=0.0)",
+    ("cp", "martingale", 8): "Estimate(mean=1.0105383378101127, stderr=0.0140329013180524, n=2000, analytic_target=1.0, z_score=0.7509735564487888, crossings=None, truncation_allowance=None)",
+    ("stable", "passage", 8): "Estimate(mean=0.03971603570673302, stderr=0.0033083820754776796, n=2000, analytic_target=0.04231580999968208, z_score=-0.7858144052402691, crossings=268, truncation_allowance=4.474120268037588e-55)",
+    ("stable", "upcross", 8): "Estimate(mean=0.2195931264501803, stderr=0.0031452184574700367, n=2000, analytic_target=0.2138870786093569, z_score=1.8141976202865273, crossings=1906, truncation_allowance=2.4282176974337948e-56)",
+    ("stable", "survival", 8): "Estimate(mean=0.7455770332549254, stderr=0.00745039788798898, n=2000, analytic_target=0.7446043236972452, z_score=0.13055806848227353, crossings=None, truncation_allowance=0.0)",
+    ("stable", "creeping", 8): "Estimate(mean=0.002, stderr=0.0009992493430694925, n=2000, analytic_target=0.0, z_score=2.0015024416792744, crossings=332, truncation_allowance=0.0)",
+    ("stable", "martingale", 8): "Estimate(mean=1.024908677288945, stderr=0.008944599184667357, n=2000, analytic_target=1.0, z_score=2.784772886374049, crossings=None, truncation_allowance=None)",
+    ("tempered", "passage", 8): "Estimate(mean=0.06169796620041497, stderr=0.0037448867292679154, n=2000, analytic_target=0.0587545657073786, z_score=0.7859785103865532, crossings=398, truncation_allowance=4.138302926903127e-55)",
+    ("tempered", "upcross", 8): "Estimate(mean=0.25822349400857003, stderr=0.004825824266342729, n=2000, analytic_target=0.2473866436406101, z_score=2.245595730358551, crossings=1817, truncation_allowance=4.727274879046642e-56)",
+    ("tempered", "survival", 8): "Estimate(mean=0.7956939894791883, stderr=0.008934731633111462, n=2000, analytic_target=0.7944154294662658, z_score=0.1430999906235954, crossings=None, truncation_allowance=0.0)",
+    ("tempered", "martingale", 8): "Estimate(mean=1.0088081208207282, stderr=0.012918851034097924, n=2000, analytic_target=1.0, z_score=0.6818037298735117, crossings=None, truncation_allowance=None)",
+}
+
+
+@pytest.mark.parametrize("label, name, seed", list(_PINNED))
+def test_estimates_repeat_their_pinned_values(label, name, seed):
+    cfg = MCConfig(dt=1e-2, paths=2000, seed=seed)
+    assert repr(_PIN_CALLS[name](_PIN_MODELS[label], cfg)) == _PINNED[label, name, seed]
+
+
+def test_threads_sweeping_at_once_give_the_sequential_estimates():
+    # each thread sweeps in a workspace of its own: more threads than
+    # cores, switching often, give the Estimates of one thread alone
+    import sys
+    import threading
+
+    jobs = [(label, name, 3) for label in ("cp", "stable", "tempered")
+            for name in ("passage", "survival")]
+    want = [_PINNED[job] for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(i, label, name, seed):
+        start.wait()
+        got[i] = repr(_PIN_CALLS[name](_PIN_MODELS[label],
+                                       MCConfig(dt=1e-2, paths=2000, seed=seed)))
+
+    threads = [threading.Thread(target=run, args=(i, *job)) for i, job in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+def _holds(work, arrays):
+    # whether any of the arrays shares memory with a buffer of work
+    return any(np.shares_memory(a, b) for a in arrays for b in work.buffers.values())
+
+
+def test_sweep_results_own_their_memory():
+    # the sweep's outputs are no views of the thread's workspace, so the
+    # next sweep, which reuses it, leaves them as they were
+    from levyfluct.montecarlo import _LOCAL, _plan, _stream, _sweep_block
+
+    plan = _plan(_mc_tempered(), MCConfig(dt=1e-2, paths=1))
+    first = _sweep_block(plan, _stream(4, 0), 3000, 1.0, 3.0)
+    kept = [a.copy() for a in first]
+    assert not _holds(_LOCAL.work, first)
+    _sweep_block(plan, _stream(5, 0), 3000, 1.0, 3.0)
+    for got, want in zip(first, kept):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rare_acceptance_sampler_keeps_its_law_and_the_workspace_bound():
+    # at acceptance 0.05-0.15 one pass for 20,000 jumps needs more
+    # candidates than a workspace buffer holds: that pass draws them in
+    # arrays of its own, the thread's buffers stay within the bound and
+    # the jumps keep the exact law
+    from levyfluct.montecarlo import _LOCAL, _WORK_BOUND
+
+    jumps, plan = _jump_plan("tempered-rare")
+    assert 0.05 < plan.acceptance < 0.15
+    assert 20000 / plan.acceptance > _WORK_BOUND
+    work = _LOCAL.work
+    y = plan.sample_jumps(np.random.default_rng(23), np.empty(20000), work)
+    assert all(b.size <= _WORK_BOUND for b in work.buffers.values())
+    assert not _holds(work, [y])
+    tail_eps = float(jumps.tail(plan.cutoff))
+    _, p = stats.kstest(
+        y, lambda v: 1.0 - jumps.tail(np.maximum(v, plan.cutoff)) / tail_eps)
+    assert p > 1e-3
