@@ -1,12 +1,15 @@
 """Shared quadrature helpers.
 
 One rule serves every integral of the package: an adaptive 21-point
-Gauss-Kronrod rule written in numpy.  The integrand takes a 1-D array of
-abscissae and returns the array of its values, and every new batch of
-subintervals costs one integrand call, so integrands built on the scale
-engine's array calls or on the jump families' array tails pay little
-more for a few hundred points than for one.  A result whose error
-estimate misses its target raises instead of returning.
+Gauss-Kronrod rule written in numpy (QUADPACK's qk21).  The integrand
+takes a 1-D array of abscissae and returns the array of its values.  A
+round of the rule costs one integrand call on all its new subintervals
+and a fixed handful of numpy calls: the bisection bookkeeping and the
+error scaling of the round's few intervals run on Python floats.  So
+integrands built on the scale engine's array calls or on the jump
+families' array tails pay little more for a few hundred points than for
+one.  A result whose error estimate misses its target atol + rtol*|val|,
+or is not finite, raises QuadratureFailure instead of returning.
 
 ``integrate_semiinfinite`` maps a tail with a known exponential decay
 rate onto (0, 1], so the rule sees a bounded, well-scaled integrand.
@@ -20,7 +23,7 @@ the next term a fractional power of the mapped variable, which each
 bisection cuts only a few-fold; twice that grade maps the leading term
 to a linear one, and the rule then meets its target in a few rounds.
 The head of a jump tail takes the doubled grade where it stays at most
-20, and the power tail of an untempered stable resolvent takes it
+10, and the power tail of an untempered stable resolvent takes it
 through ``scale._integrate_on_w``.
 """
 
@@ -67,69 +70,77 @@ _GAUSS[11:20:2] = _WG[::-1]
 # the Kronrod and Gauss weights as the columns of one matrix, so that
 # both sums of every interval come from one product
 _WEIGHTS = np.stack([_KRONROD, _GAUSS], axis=1)
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _gk21(f, lo, hi):
     # Kronrod estimates and QUADPACK's qk21 error estimates on the
-    # intervals [lo, hi], in one integrand call
+    # intervals [lo, hi], as two lists, in one integrand call.  A round
+    # has a few intervals, so the error scaling runs on Python floats; a
+    # non-finite estimate stays non-finite
     half = 0.5 * (hi - lo)
-    centre = lo + half
-    xs = centre[:, None] + half[:, None] * _NODES
+    xs = (lo + half)[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    kronrod, gauss = (fx @ _WEIGHTS).T
-    dev = fx - 0.5 * kronrod[:, None]
-    abs_half = np.abs(half)
-    resasc = (np.abs(dev, out=dev) @ _KRONROD) * abs_half
-    resabs = (np.abs(fx) @ _KRONROD) * abs_half
-    err = np.abs((kronrod - gauss) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return kronrod * half, np.maximum(50.0 * _EPS * resabs, err)
+    sums = fx @ _WEIGHTS
+    resasc = np.abs(fx - 0.5 * sums[:, :1]) @ _KRONROD
+    resabs = np.abs(fx) @ _KRONROD
+    vals, errs = [], []
+    for h, (kronrod, gauss), asc, absum in zip(half.tolist(), sums.tolist(),
+                                               resasc.tolist(), resabs.tolist()):
+        width = abs(h)
+        asc *= width
+        err = abs((kronrod - gauss) * h)
+        if asc != 0.0 and 0.0 < err < math.inf:
+            err = asc * min(200.0 * err / asc, 1.0) ** 1.5
+        vals.append(kronrod * h)
+        errs.append(max(err, 50.0 * _EPS * (absum * width)))
+    return vals, errs
 
 
 def _adaptive(f, a, b, rtol, atol, points=()):
     # globally adaptive bisection: each round bisects the fewest intervals
     # of largest error that leave the rest within half the tolerance, all
     # in one batch, until the total error estimate meets the tolerance or
-    # the _LIMIT intervals are spent.  Break points start as interval ends
-    edges = np.array([float(a), *sorted(points), float(b)])
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk21(f, lo, hi)
+    # the _LIMIT intervals are spent.  Break points start as interval ends.
+    # The intervals sit in lists: the kept ones in order, then the left
+    # and the right halves of the round's picks
+    lo = [float(a), *sorted(points)]
+    hi = [*lo[1:], float(b)]
+    vals, errs = _gk21(f, np.array(lo), np.array(hi))
     while True:
-        total, err = float(np.sum(vals)), float(np.sum(errs))
+        total, err = np.add.reduce([vals, errs], axis=1).tolist()
         tol = max(atol, rtol * abs(total))
-        room = _LIMIT - lo.size
+        room = _LIMIT - len(lo)
         if err <= tol or room <= 0 or not math.isfinite(err):
             return total, err
-        order = np.argsort(errs)[::-1]
-        left = err - np.cumsum(errs[order])
-        count = min(int(np.searchsorted(-left, -0.5 * tol)) + 1, room)
-        pick = order[:count]
-        mid = 0.5 * (lo[pick] + hi[pick])
-        splits = (lo[pick] < mid) & (mid < hi[pick])
-        if not splits.any():
+        done, pick, mid = 0.0, [], []
+        for i in np.array(errs).argsort()[::-1][:room].tolist():
+            m = 0.5 * (lo[i] + hi[i])
+            if lo[i] < m < hi[i]:
+                pick.append(i)
+                mid.append(m)
+            done += errs[i]
+            if err - done <= 0.5 * tol:
+                break
+        if not pick:
             # the worst intervals are down to a few floats
             return total, err
-        pick, mid = pick[splits], mid[splits]
-        new_lo = np.concatenate([lo[pick], mid])
-        new_hi = np.concatenate([mid, hi[pick]])
-        new_vals, new_errs = _gk21(f, new_lo, new_hi)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[pick] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        new_lo, new_hi = [lo[i] for i in pick] + mid, mid + [hi[i] for i in pick]
+        new_vals, new_errs = _gk21(f, np.array(new_lo), np.array(new_hi))
+        drop = set(pick)
+        keep = [i for i in range(len(lo)) if i not in drop]
+        lo = [lo[i] for i in keep] + new_lo
+        hi = [hi[i] for i in keep] + new_hi
+        vals = [vals[i] for i in keep] + new_vals
+        errs = [errs[i] for i in keep] + new_errs
 
 
 def _checked(val, err, where, rtol, atol):
     if not math.isfinite(val):
         raise QuadratureFailure(f"integral over {where} returned {val}")
-    if err > atol + rtol * abs(val) + 1e-8 * abs(val):
+    if not err <= atol + rtol * abs(val):
         raise QuadratureFailure(
-            f"integral over {where}: error estimate {err:.2e} above target"
+            f"integral over {where}: error estimate {err:.2e} misses its target"
         )
     return val
 
@@ -145,12 +156,12 @@ def integrate_finite(f, a, b, *, points=None, rtol=1e-10, atol=1e-13):
 
 def _tail_map(t, a, decay, grade=1.0):
     # x in [a, inf) and dx/dt for t in (0, 1]: x = a - log(t)/decay, or
-    # without a decay rate x = a + (1 - r)/r with r = t**grade
-    with np.errstate(divide="ignore"):
-        if decay > 0.0:
-            return a - np.log(t) / decay, 1.0 / (decay * t)
-        r = t**grade
-        return a + (1.0 - r) / r, grade / (t * r)
+    # without a decay rate x = a + (1 - r)/r with r = t**grade; callers
+    # ignore the division by zero at t = 0
+    if decay > 0.0:
+        return a - np.log(t) / decay, 1.0 / (decay * t)
+    r = t**grade
+    return a + (1.0 - r) / r, grade / (t * r)
 
 
 def integrate_graded(f, split, grade, *, decay=0.0, tail_grade=1.0, rtol=1e-10,
@@ -171,17 +182,19 @@ def integrate_graded(f, split, grade, *, decay=0.0, tail_grade=1.0, rtol=1e-10,
     grades up to 20 such nodes lie within 1e-15 of z = 0.
     """
     def g(z):
-        s = z[z > 0.0]
-        t = -z[z <= 0.0]
-        u = split * s**grade
-        x, tail_jac = _tail_map(t, split, decay, tail_grade)
-        nodes = np.concatenate([x, u])
-        jac = np.concatenate([tail_jac, grade * u / s])
-        live = (nodes > 0.0) & np.isfinite(jac)
-        vals = np.zeros_like(nodes)
-        vals[live] = f(nodes[live]) * jac[live]
-        out = np.empty_like(z)
-        out[z <= 0.0], out[z > 0.0] = vals[: t.size], vals[t.size:]
+        # both maps over |z|, each node keeping the one of its side
+        t = np.abs(z)
+        with np.errstate(all="ignore"):
+            u = split * t**grade
+            x, jac = _tail_map(t, split, decay, tail_grade)
+            head = z > 0.0
+            x = np.where(head, u, x)
+            jac = np.where(head, grade * u / t, jac)
+        live = (x > 0.0) & np.isfinite(jac)
+        if live.all():
+            return f(x) * jac
+        out = np.zeros_like(z)
+        out[live] = f(x[live]) * jac[live]
         return out
 
     return integrate_finite(g, -1.0, 1.0, points=(0.0,), rtol=rtol, atol=atol)
@@ -196,7 +209,8 @@ def integrate_semiinfinite(f, a=0.0, *, decay=1.0, rtol=1e-10, atol=1e-13):
     map is x = a + (1 - t)/t.
     """
     def g(t):
-        x, jac = _tail_map(t, a, decay)
+        with np.errstate(divide="ignore"):
+            x, jac = _tail_map(t, a, decay)
         return f(x) * jac
 
     val, err = _adaptive(g, 0.0, 1.0, rtol, atol)
@@ -209,10 +223,11 @@ def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
     # infinity, on the array rule: the independent reference for the
     # closed forms of the excursion layer.  For the stable families the
     # head takes grade 2/(2 - alpha), which maps the u**(1-alpha) endpoint
-    # to s and the next term, u**(2-alpha), to s**(1 + grade); above
-    # alpha = 1.9 that grade would pass the 20 of integrate_graded's
-    # underflow note, and the head keeps 1/(2 - alpha), which bounds the
-    # endpoint.  The tail grade bounds the pitail(u) ~ u**(-alpha) of a
+    # to s and the next term, u**(2-alpha), to s**(1 + grade).  Above 10
+    # (from alpha = 1.8 on) that grade costs rule rounds instead of saving
+    # them, on tempered tails 24 to 31 where half of it takes 16 to 24, so
+    # the head keeps 1/(2 - alpha) there, which bounds the endpoint.  The
+    # tail grade bounds the pitail(u) ~ u**(-alpha) of a
     # bare power tail (stable, tail_decay = 0); the compound Poisson tail
     # is bounded at 0 and decays exponentially as it stands.  The tail
     # takes no exponential map even where a decay rate exists: at a rate
@@ -221,7 +236,7 @@ def _jump_quadrature(jumps, integrand, tail_decay, rtol=1e-10, atol=1e-10):
     # rule's interval, and the integral came out 5e-9 off
     if jumps.infinite_variation:
         grade, tail_grade = 2.0 / (2.0 - jumps.alpha), 1.0 / (jumps.alpha - 1.0)
-        if grade > 20.0:
+        if grade > 10.0:
             grade *= 0.5
     else:
         grade = tail_grade = 1.0

@@ -360,11 +360,12 @@ def test_array_quadrature_crossings_match_closed_forms(model):
         assert after == pytest.approx(intensity_cross_after(engine, beta), rel=1e-9)
 
 
-@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9, 1.95])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.85, 1.9, 1.95])
 @pytest.mark.parametrize("tempering", [0.0, 1.0])
 def test_quadrature_crossings_on_both_sides_of_the_head_grade_cap(alpha, tempering):
-    # the head takes grade 2/(2 - alpha) up to alpha = 1.9 and
-    # 1/(2 - alpha) above, where 2/(2 - alpha) would pass 20
+    # the head takes grade 2/(2 - alpha) below alpha = 1.8 and
+    # 1/(2 - alpha) from there on, where 2/(2 - alpha) would pass 10
+    # (2/(2 - 1.8) is 10.000000000000002 in floats)
     jumps = (TemperedStableJumps(alpha=alpha, scale=0.8, tempering=tempering) if tempering
              else StableJumps(alpha=alpha, scale=0.8))
     engine = make_engine(LevyModel(gamma=0.5, sigma2=0.5, jumps=jumps))

@@ -6,8 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from levyfluct import QuadratureFailure
-from levyfluct._quadrature import _adaptive, integrate_finite, integrate_semiinfinite
+from levyfluct import QuadratureFailure, _quadrature
+from levyfluct._quadrature import (_EPS, _KRONROD, _NODES, _adaptive, integrate_finite,
+                                   integrate_semiinfinite)
+from levyfluct.validation import run_validation
+from conftest import bm, model_b, tempered_mixed
 
 
 def test_failure_raises_without_warning_from_threads():
@@ -105,3 +108,77 @@ def test_graded_alpha_near_two_endpoint():
     f = lambda u: u**-0.98 * np.exp(-u)  # noqa: E731
     assert integrate_graded(f, 1.0, 50.0, decay=1.0) == pytest.approx(
         special.gamma(0.02), rel=1e-10)
+
+
+def test_gk21_matches_qk21_written_on_arrays():
+    # QUADPACK's qk21 error scaling resasc * min(1, (200 err/resasc)**1.5)
+    # and its 50 eps resabs floor, as whole-array numpy: the sums agree
+    # bitwise, the estimates to the rounding of the two powers
+    from levyfluct._quadrature import _WEIGHTS, _gk21
+
+    lo, hi = np.array([0.0, 0.5, 1e-9, 2.0]), np.array([0.5, 1.0, 3e-9, 40.0])
+    for f in (np.exp, np.sqrt, lambda x: np.sin(30.0 * x), lambda x: x**-0.9):
+        half = 0.5 * (hi - lo)
+        fx = f((lo + half)[:, None] + half[:, None] * _NODES)
+        kronrod, gauss = (fx @ _WEIGHTS).T
+        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
+        err = np.abs(kronrod - gauss) * half
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD * half))
+        vals, errs = _gk21(f, lo, hi)
+        assert vals == (kronrod * half).tolist()
+        assert errs == pytest.approx(err, rel=4 * _EPS, abs=0.0)
+
+
+def test_zero_integrand_takes_one_round_and_no_error():
+    # resasc = err = 0: neither the scaling nor the floor moves the estimate
+    sizes = []
+    assert _adaptive(_batched(np.zeros_like, sizes), 0.0, 1.0, 1e-10, 1e-13) == (0.0, 0.0)
+    assert sizes == [21]
+
+
+def test_polynomial_meets_a_tight_target_at_the_rounding_floor():
+    # the 10-point Gauss sum is exact to degree 19 and the Kronrod sum to
+    # 31, so both agree to rounding and the estimate is the floor
+    # 50 * eps * resabs of QUADPACK's qk21
+    c = np.linspace(1.0, 2.0, 20)
+    f = lambda x: np.polynomial.polynomial.polyval(x, c)  # noqa: E731
+    sizes = []
+    val, err = _adaptive(_batched(f, sizes), 0.0, 1.0, 1e-13, 0.0)
+    assert sizes == [21]
+    assert val == pytest.approx(sum(ci / (i + 1) for i, ci in enumerate(c)), rel=1e-13)
+    resabs = float(np.abs(f(0.5 + 0.5 * _NODES)) @ _KRONROD) * 0.5
+    assert err == 50.0 * _EPS * resabs
+    assert err <= 1e-13 * val
+
+
+def test_non_finite_error_estimate_raises():
+    # the Kronrod and Gauss sums of +-1e308 overflow, and the error
+    # estimate comes out NaN; NaN > target is False, so the check must
+    # ask for an estimate within the target, not for one above it
+    def f(x):
+        return np.where(x < 0.0, -1e308, 1e308)
+
+    with np.errstate(over="ignore"), pytest.raises(QuadratureFailure, match=r"\[-1.0, 1.0\]"):
+        integrate_finite(f, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, rounds, intervals", [
+    (lambda: bm(gamma=1.0), 11, 21),
+    (model_b, 63, 143),
+    (tempered_mixed, 37, 89),
+], ids=["bm", "model_b", "tempered_mixed"])
+def test_validation_rule_rounds_are_pinned(monkeypatch, make, rounds, intervals):
+    # every adaptive decision of a whole report, counted as rule rounds
+    # and the intervals they evaluate: a change to the rule's bookkeeping
+    # that moves one bisection moves these counts
+    sizes = []
+    gk21 = _quadrature._gk21
+
+    def counted(f, lo, hi):
+        sizes.append(lo.size)
+        return gk21(f, lo, hi)
+
+    monkeypatch.setattr(_quadrature, "_gk21", counted)
+    run_validation(make())
+    assert (len(sizes), sum(sizes)) == (rounds, intervals)
