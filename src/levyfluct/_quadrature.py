@@ -182,7 +182,8 @@ def integrate_graded(f, split, grade, *, decay=0.0, tail_grade=1.0, rtol=1e-10,
     grades up to 20 such nodes lie within 1e-15 of z = 0.
     """
     def g(z):
-        # both maps over |z|, each node keeping the one of its side
+        # both maps over |z|, each node keeping the one of its side; the
+        # other side's map may overflow or divide by zero there
         t = np.abs(z)
         with np.errstate(all="ignore"):
             u = split * t**grade

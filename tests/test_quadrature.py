@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from levyfluct import QuadratureFailure, _quadrature
-from levyfluct._quadrature import (_EPS, _KRONROD, _NODES, _adaptive, integrate_finite,
-                                   integrate_semiinfinite)
+from levyfluct._quadrature import (_EPS, _KRONROD, _NODES, _WEIGHTS, _adaptive, _gk21,
+                                   integrate_finite, integrate_semiinfinite)
 from levyfluct.validation import run_validation
 from conftest import bm, model_b, tempered_mixed
 
@@ -114,8 +114,6 @@ def test_gk21_matches_qk21_written_on_arrays():
     # QUADPACK's qk21 error scaling resasc * min(1, (200 err/resasc)**1.5)
     # and its 50 eps resabs floor, as whole-array numpy: the sums agree
     # bitwise, the estimates to the rounding of the two powers
-    from levyfluct._quadrature import _WEIGHTS, _gk21
-
     lo, hi = np.array([0.0, 0.5, 1e-9, 2.0]), np.array([0.5, 1.0, 3e-9, 40.0])
     for f in (np.exp, np.sqrt, lambda x: np.sin(30.0 * x), lambda x: x**-0.9):
         half = 0.5 * (hi - lo)
@@ -153,8 +151,8 @@ def test_polynomial_meets_a_tight_target_at_the_rounding_floor():
 
 
 def test_non_finite_error_estimate_raises():
-    # the Kronrod and Gauss sums of +-1e308 overflow, and the error
-    # estimate comes out NaN; NaN > target is False, so the check must
+    # the absolute sums behind the error estimate of +-1e308 overflow, and
+    # the estimate comes out NaN; NaN > target is False, so the check must
     # ask for an estimate within the target, not for one above it
     def f(x):
         return np.where(x < 0.0, -1e308, 1e308)
