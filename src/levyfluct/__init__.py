@@ -30,7 +30,6 @@ from .excursion import (
     intensity_table,
     intensity_total,
     intensity_upper_creep,
-    inverse_local_time,
     occupation_overshoot_identity,
     overshoot_mass,
 )
@@ -50,7 +49,6 @@ from .model import (
     ExpJumps,
     LevyModel,
     NoJumps,
-    Regime,
     StableJumps,
     TemperedStableJumps,
     model_from_dict,
@@ -69,7 +67,6 @@ from .montecarlo import (
     simulate_path,
 )
 from .scale import (
-    ScaleEngine,
     laplace_roundtrip,
     make_engine,
     mittag_leffler,

@@ -14,11 +14,13 @@ its right inverse phi, and the jump tail.  This module evaluates:
 * Laplace functionals of the entrance law, up to the local-time
   normalization (the free constant is fixed to 1 here),
 * the expected overshoot-like mass of level crossings accumulated over
-  an excursion, and its recomputation against the occupation density,
-* the Laplace exponent of the inverse local time at 0, a subordinator
-  with no drift in the supported class: 1/(lam*phi'(lam)) -> 0 as lam
-  grows, since the time a path of unbounded variation spends at 0 has
-  Lebesgue measure 0.
+  an excursion, and its recomputation against the occupation density.
+
+The total n(zeta > e_beta) = 1/phi'(beta) is also the Laplace exponent
+of the inverse local time at 0 (Bertoin 1996, ch. IV), a subordinator
+with no drift in the supported class: 1/(beta*phi'(beta)) -> 0 as beta
+grows, since the time a path of unbounded variation spends at 0 has
+Lebesgue measure 0.
 
 Everything is closed-form.  The two parts of the partition that
 integrate the jump tail pitail are exact transforms of the exponent:
@@ -60,7 +62,6 @@ __all__ = [
     "NegativeStart",
     "EntranceConstants",
     "EntranceLaw",
-    "OvershootMass",
     "intensity_total",
     "intensity_upper_creep",
     "intensity_stay_positive",
@@ -73,7 +74,6 @@ __all__ = [
     "entrance_law_laplace",
     "overshoot_mass",
     "occupation_overshoot_identity",
-    "inverse_local_time",
 ]
 
 
@@ -127,29 +127,23 @@ class EntranceLaw:
     positive_part: float
 
 
-@dataclass(frozen=True)
-class OvershootMass:
-    value: float
-    infinite: bool
-
-
 # ---------------------------------------------------------------------------
 # lifetime intensities
 # ---------------------------------------------------------------------------
-
-
-def _lifetime_rate(engine, beta):
-    # psi'(phi(beta)) = 1/phi'(beta), for beta >= 0
-    m = engine.model
-    return float(m.psi_prime(m.phi(beta)))
 
 
 def intensity_total(engine, beta):
     """n(zeta > e_beta) = 1/phi'(beta) = psi'(phi(beta)), for beta >= 0.
 
     beta = 0 gives n(zeta = inf) = psi'(phi(0)+), zero when oscillating.
+    For beta > 0 this is also the Laplace exponent of the inverse local
+    time at 0, whose drift lim 1/(beta*phi'(beta)) is 0 for every model
+    of the supported class (unbounded variation), so the exponent is its
+    jump part alone.
     """
-    return _lifetime_rate(engine, _check_arg("beta", beta, strict=False))
+    beta = _check_arg("beta", beta, strict=False)
+    m = engine.model
+    return float(m.psi_prime(m.phi(beta)))
 
 
 def intensity_upper_creep(engine, beta):
@@ -363,17 +357,15 @@ def entrance_law_laplace(engine, q, f, support):
 
 
 def overshoot_mass(engine):
-    """integral_0^inf exp(-phi(0)*u) * u * pitail(u) du, or an Infinite flag.
+    """integral_0^inf exp(-phi(0)*u) * u * pitail(u) du, the tail moment at phi(0).
 
-    The mass is infinite exactly when the process does not drift to -inf
-    and the variance blows up (psi''(0+) = inf): then u*pitail(u) has a
-    nonintegrable tail and no exponential damping rescues it.
+    math.inf exactly when the process does not drift to -inf and the
+    variance blows up (psi''(0+) = inf, the stable family at phi(0) = 0):
+    then u*pitail(u) has a nonintegrable tail and no exponential damping
+    rescues it.
     """
     m = engine.model
-    phi0 = m.phi(0.0)
-    if phi0 == 0.0 and math.isinf(m.psi_second(0.0)):
-        return OvershootMass(math.inf, True)
-    return OvershootMass(float(m.jumps.tail_moment(phi0)), False)
+    return float(m.jumps.tail_moment(m.phi(0.0)))
 
 
 def occupation_overshoot_identity(engine):
@@ -394,7 +386,7 @@ def occupation_overshoot_identity(engine):
     direct = overshoot_mass(engine)
     if isinstance(m.jumps, NoJumps):
         return 0.0, 0.0
-    if direct.infinite:
+    if math.isinf(direct):
         raise BadParameterError(
             "occupation cross-check requires a finite overshoot mass"
         )
@@ -407,19 +399,5 @@ def occupation_overshoot_identity(engine):
         return _incomplete_gamma(2.0, phi0 * u)[0] / phi0**2
 
     via = _jump_quadrature(m.jumps, lambda u: m.jumps.density(u) * kernel(u), phi0)
-    return direct.value, via
+    return direct, via
 
-
-# ---------------------------------------------------------------------------
-# inverse local time at 0
-# ---------------------------------------------------------------------------
-
-
-def inverse_local_time(engine, lam):
-    """Laplace exponent of the inverse local time at 0: 1/phi'(lam).
-
-    Its drift, lim 1/(lam*phi'(lam)), is 0 for every model of the
-    supported class (unbounded variation), so the exponent is its jump
-    part alone.
-    """
-    return _lifetime_rate(engine, _check_arg("lam", lam))

@@ -253,20 +253,18 @@ def constant_A(engine):
 
 @dataclass(frozen=True)
 class GFamily:
-    """Pointwise evaluators of the conditioning weights and the constant A.
+    """Pointwise evaluators of the conditioning weights.
 
-    The unkilled weight g_minus is ``g_minus_beta`` at beta = 0.
-    ``g_tilde_infinite`` flags the drift-to--inf case where the tilde
-    weight degenerates; the evaluator then returns math.inf rather than
-    a large float, so consumers must branch on the flag.
+    The unkilled weight g_minus is ``g_minus_beta`` at beta = 0, and the
+    weight on x >= 0 is the scale function W(x) = ``engine.w(0.0, x)``.
+    The tilde weight degenerates when the process drifts to -inf
+    (``model.mean < 0``); ``g_tilde`` then returns math.inf rather than
+    a large float.
     """
 
     g: Callable[[float], float]
-    g_plus: Callable[[float], float]
     g_tilde: Callable[[float], float]
     g_minus_beta: Callable[[float, float], float]
-    constant_a: float
-    g_tilde_infinite: bool
 
 
 def _g_weight(phi, x):
@@ -280,13 +278,12 @@ def g_family(engine):
     """Build the weight family of one model.
 
     g(x) = (1 - exp(phi(0) x))/phi(0), with the explicit branch g(x) = -x
-    when phi(0) = 0 (no numeric 0/0 limit), and g_plus(x) = W(x) on
-    x >= 0.  g_minus_beta(beta, x) is the killed weight
-    (1 - exp(x phi(beta)))/phi(beta) on x < 0, nondecreasing as beta
-    decreases; beta = 0 gives its limit g_minus, the restriction of g to
-    x < 0.  g_tilde follows the
-    three-way split on the sign of the mean, with the infinite-variance
-    oscillating case collapsing the linear term to zero.
+    when phi(0) = 0 (no numeric 0/0 limit).  g_minus_beta(beta, x) is the
+    killed weight (1 - exp(x phi(beta)))/phi(beta) on x < 0, nondecreasing
+    as beta decreases; beta = 0 gives its limit g_minus, the restriction
+    of g to x < 0.  g_tilde(x) = W(x)1{x > 0} - A x, A = ``constant_A``,
+    follows the three-way split on the sign of the mean, with the
+    infinite-variance oscillating case collapsing the linear term to zero.
     """
     m = engine.model
     phi0 = float(m.phi(0.0))
@@ -295,9 +292,6 @@ def g_family(engine):
 
     def g(x):
         return _g_weight(phi0, _check_arg("x", x, -math.inf))
-
-    def g_plus(x):
-        return engine.w(0.0, _check_arg("x", x, strict=False, points=True))
 
     def g_minus_beta(beta, x):
         x = _check_arg("x", x, -math.inf)
@@ -313,11 +307,4 @@ def g_family(engine):
         pos = engine.w(0.0, x) if x > 0.0 else 0.0
         return pos - a_const * x
 
-    return GFamily(
-        g=g,
-        g_plus=g_plus,
-        g_tilde=g_tilde,
-        g_minus_beta=g_minus_beta,
-        constant_a=a_const,
-        g_tilde_infinite=infinite,
-    )
+    return GFamily(g=g, g_tilde=g_tilde, g_minus_beta=g_minus_beta)

@@ -43,7 +43,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import math
@@ -67,8 +66,6 @@ __all__ = [
     "StableJumps",
     "TemperedStableJumps",
     "LevyModel",
-    "Regime",
-    "DriftRegime",
     "parse_model",
     "model_from_dict",
     "model_to_dict",
@@ -379,24 +376,6 @@ _FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
-# drift regime
-# ---------------------------------------------------------------------------
-
-
-class Regime(enum.Enum):
-    TO_PLUS_INFINITY = "to_plus_infinity"
-    OSCILLATING = "oscillating"
-    TO_MINUS_INFINITY = "to_minus_infinity"
-
-
-@dataclass(frozen=True)
-class DriftRegime:
-    kind: Regime
-    mean: float
-    phi0: float
-
-
-# ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
 
@@ -444,7 +423,7 @@ class LevyModel:
 
     @functools.cached_property
     def mean(self):
-        """psi'(0+), the long-run drift E[X_1]."""
+        """psi'(0+), the long-run drift E[X_1]; its sign is the drift regime."""
         return self.gamma + self.jumps.mean_at_zero
 
     # -- inverse exponent ---------------------------------------------------
@@ -498,18 +477,6 @@ class LevyModel:
         tail = self.jumps.tail
         return _jump_quadrature(self.jumps, lambda u: np.exp(-phi0 * u) * tail(x + u), phi0,
                                 rtol=1e-11, atol=1e-13)
-
-    # -- regime -------------------------------------------------------------
-
-    def drift_regime(self):
-        m = self.mean
-        if m > 0.0:
-            kind = Regime.TO_PLUS_INFINITY
-        elif m == 0.0:
-            kind = Regime.OSCILLATING
-        else:
-            kind = Regime.TO_MINUS_INFINITY
-        return DriftRegime(kind=kind, mean=m, phi0=self.phi(0.0))
 
 
 def _tail_decay_hint(jumps):

@@ -51,7 +51,7 @@ from .errors import (
     _check_arg,
     _check_int,
 )
-from .model import ExpJumps, LevyModel, NoJumps, Regime, StableJumps, TemperedStableJumps
+from .model import ExpJumps, LevyModel, NoJumps, StableJumps, TemperedStableJumps
 from .scale import make_engine
 from . import fluctuation
 
@@ -836,7 +836,7 @@ def estimate_survival(model, config, x):
     """
 
     x = _check_arg("x", x)
-    if model.drift_regime().kind is not Regime.TO_PLUS_INFINITY:
+    if model.mean <= 0.0:
         raise WrongRegimeError(
             "survival is degenerate unless the process drifts to +infinity"
         )

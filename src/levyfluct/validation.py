@@ -19,8 +19,8 @@ import numpy as np
 
 from . import excursion, fluctuation, montecarlo
 from ._quadrature import _jump_quadrature
-from .errors import BadConfigError, _check_arg
-from .model import NoJumps, Regime, model_to_dict
+from .errors import BadConfigError, BadParameterError, _check_arg
+from .model import NoJumps, model_to_dict
 from .scale import _integrate_on_w, laplace_roundtrip, make_engine, w_series_check
 
 __all__ = ["CheckResult", "ValidationReport", "TOLERANCES", "run_validation"]
@@ -474,7 +474,7 @@ def _mc_checks(model, tol, cfg, estimator_cfg):
         (montecarlo.estimate_passage_below_laplace, (1.0, 2.5),
          "passage-below Laplace at x = 1, beta = 2.5"),
     ]
-    if model.drift_regime().kind is Regime.TO_PLUS_INFINITY:
+    if model.mean > 0.0:
         runs.append((montecarlo.estimate_survival, (1.0,),
                      "survival probability at x = 1, survivors closed at T with "
                      "psi'(0+) W(X_T)"))
@@ -497,14 +497,14 @@ def run_validation(model, with_mc=False, paths=20000, dt=1e-3, seed=0,
 
     The suites run one after another, in fixed order (model, scale,
     fluctuation, excursion, then Monte Carlo when with_mc is set), so the
-    report is deterministic.  A tolerance override must be finite and
-    >= 0 (BadParameterError otherwise).
+    report is deterministic.  A tolerance override must name a check of
+    TOLERANCES and be finite and >= 0 (BadParameterError otherwise).
     """
     tol = dict(TOLERANCES)
     if tolerances:
         unknown = sorted(set(tolerances) - set(tol))
         if unknown:
-            raise KeyError(f"unknown check name(s) in tolerance overrides: {unknown}")
+            raise BadParameterError(f"unknown check name(s) in tolerance overrides: {unknown}")
         tol.update((name, _check_arg(name, value, strict=False))
                    for name, value in tolerances.items())
     # a bad Monte Carlo setting raises before any suite has run

@@ -14,7 +14,6 @@ from levyfluct import (
     intensity_table,
     intensity_total,
     intensity_upper_creep,
-    inverse_local_time,
     occupation_overshoot_identity,
     overshoot_mass,
 )
@@ -167,20 +166,36 @@ def test_entrance_law_needs_finite_support(engine_b):
 
 
 # ---------------------------------------------------------------------------
-# overshoot and local time
+# overshoot
 # ---------------------------------------------------------------------------
 
 
 def test_overshoot_mass_finite_for_exponential_jumps(engine_b):
-    m = overshoot_mass(engine_b)
-    assert not m.infinite
     # integral of u e^{-u} du = 1
-    assert m.value == pytest.approx(1.0, rel=1e-8)
+    assert overshoot_mass(engine_b) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_overshoot_mass_infinite_for_oscillating_stable(engine_stable):
-    m = overshoot_mass(engine_stable)
-    assert m.infinite and math.isinf(m.value)
+    assert overshoot_mass(engine_stable) == math.inf
+
+
+@pytest.mark.parametrize("mean", [0.5, 0.0, -0.5], ids=["up", "oscillating", "down"])
+@pytest.mark.parametrize("family", ["bm", "cp_exp", "stable", "tempered"])
+def test_overshoot_mass_is_tail_moment_at_phi0(family, mean):
+    # the mass is the jump family's tail moment at phi(0) in every drift
+    # regime, +inf exactly where u*pitail(u) is not integrable: the stable
+    # family at phi(0) = 0
+    jumps = {"bm": NoJumps(), "cp_exp": ExpJumps(rate=1.0, jump_rate=1.0),
+             "stable": StableJumps(alpha=1.5, scale=1.0),
+             "tempered": TemperedStableJumps(alpha=1.6, scale=0.8, tempering=1.5)}[family]
+    m = LevyModel(gamma=mean - jumps.mean_at_zero, sigma2=0.0 if family == "stable" else 1.0,
+                  jumps=jumps)
+    assert m.mean == mean
+    phi0 = m.phi(0.0)
+    assert (phi0 == 0.0) == (mean >= 0.0)
+    got = overshoot_mass(make_engine(m))
+    assert repr(got) == repr(float(jumps.tail_moment(phi0)))
+    assert math.isinf(got) == (family == "stable" and phi0 == 0.0)
 
 
 def test_occupation_identity_cross_check(engine_b):
@@ -199,13 +214,6 @@ def test_occupation_identity_rejects_infinite_mass(engine_stable):
         occupation_overshoot_identity(engine_stable)
 
 
-def test_inverse_local_time_exponent(engine_b):
-    m = engine_b.model
-    for lam in (0.5, 2.5):
-        assert inverse_local_time(engine_b, lam) == pytest.approx(
-            m.psi_prime(m.phi(lam)), rel=1e-12)
-
-
 def test_constant_a_by_regime(engine_bm0, engine_b, engine_stable, engine_tempered):
     assert constant_A(engine_bm0) == pytest.approx(1.0, rel=1e-9)
     assert constant_A(engine_b) == 0.0          # positive mean
@@ -222,6 +230,7 @@ def test_constant_a_by_regime(engine_bm0, engine_b, engine_stable, engine_temper
 from levyfluct import (  # noqa: E402
     ExpJumps,
     LevyModel,
+    NoJumps,
     StableJumps,
     TemperedStableJumps,
     intensity_cross_after,

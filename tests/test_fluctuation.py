@@ -8,6 +8,7 @@ from levyfluct import (
     LevyModel,
     TemperedStableJumps,
     conditioned_resolvent_density,
+    constant_A,
     creeping_probability,
     g_family,
     h_beta,
@@ -258,9 +259,9 @@ def test_conditioned_resolvent_mass_bound(engine_bm0):
 
 
 def test_constant_a_three_cases(engine_bm0, engine_bm_up, engine_bm_down):
-    assert g_family(engine_bm0).constant_a == pytest.approx(1.0, rel=1e-9)
-    assert g_family(engine_bm_up).constant_a == 0.0
-    assert g_family(engine_bm_down).constant_a == pytest.approx(2.0, rel=1e-9)
+    assert constant_A(engine_bm0) == pytest.approx(1.0, rel=1e-9)
+    assert constant_A(engine_bm_up) == 0.0
+    assert constant_A(engine_bm_down) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_g_is_negation_when_drift_nonnegative(engine_bm0):
@@ -268,12 +269,6 @@ def test_g_is_negation_when_drift_nonnegative(engine_bm0):
     assert fam.g(0.0) == 0.0
     assert fam.g(-1.5) == 1.5
     assert fam.g_minus_beta(0.0, -2.0) == 2.0
-
-
-def test_g_plus_is_scale_function(engine_b):
-    fam = g_family(engine_b)
-    for x in (0.3, 1.0):
-        assert fam.g_plus(x) == pytest.approx(engine_b.w(0.0, x), rel=1e-12)
 
 
 def test_g_minus_beta_monotone_in_killing(engine_b):
@@ -286,9 +281,10 @@ def test_g_minus_beta_monotone_in_killing(engine_b):
 
 
 def test_g_tilde_infinite_flag(engine_bm_down, engine_bm_up):
-    assert g_family(engine_bm_down).g_tilde_infinite
+    # the tilde weight degenerates exactly when the process drifts to -inf
+    assert engine_bm_down.model.mean < 0.0
     assert g_family(engine_bm_down).g_tilde(-1.0) == math.inf
-    assert not g_family(engine_bm_up).g_tilde_infinite
+    assert math.isfinite(g_family(engine_bm_up).g_tilde(-1.0))
 
 
 def test_survival_small_drift_far_start():

@@ -13,7 +13,6 @@ from levyfluct import (
     LevyModel,
     ModelFormatError,
     NoJumps,
-    Regime,
     StableJumps,
     TemperedStableJumps,
     model_from_dict,
@@ -265,19 +264,6 @@ def test_serialisation_roundtrip_property(gamma, sigma2, alpha, scale):
     m = LevyModel(gamma=gamma, sigma2=sigma2,
                   jumps=StableJumps(alpha=alpha, scale=scale))
     assert parse_model(json.dumps(model_to_dict(m))) == m
-
-
-# ---------------------------------------------------------------------------
-# drift regime
-# ---------------------------------------------------------------------------
-
-
-def test_drift_regimes():
-    assert bm(1.0).drift_regime().kind is Regime.TO_PLUS_INFINITY
-    assert bm(0.0).drift_regime().kind is Regime.OSCILLATING
-    down = bm(-1.0).drift_regime()
-    assert down.kind is Regime.TO_MINUS_INFINITY
-    assert down.phi0 == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

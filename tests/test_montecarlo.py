@@ -77,8 +77,9 @@ def test_oscillating_model_needs_explicit_horizon():
 
 def test_survival_needs_upward_drift():
     cfg = MCConfig(dt=1e-3, paths=1000, horizon=5.0, seed=1)
-    with pytest.raises(WrongRegimeError):
-        estimate_survival(bm(), cfg, 1.0)
+    for model in (bm(), bm(-1.0)):  # oscillating, and drifting to -inf
+        with pytest.raises(WrongRegimeError):
+            estimate_survival(model, cfg, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_tolerance_override_can_force_failure():
 
 
 def test_unknown_tolerance_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(BadParameterError, match="model.nonsense"):
         run_validation(bm(), tolerances={"model.nonsense": 1.0})
 
 
