@@ -81,9 +81,12 @@ def _gk21(f, lo, hi):
     half = 0.5 * (hi - lo)
     xs = (lo + half)[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    sums = fx @ _WEIGHTS
-    resasc = np.abs(fx - 0.5 * sums[:, :1]) @ _KRONROD
-    resabs = np.abs(fx) @ _KRONROD
+    # an integrand near the float limit overflows these products; the
+    # non-finite estimate raises in _checked, with no warning before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = fx @ _WEIGHTS
+        resasc = np.abs(fx - 0.5 * sums[:, :1]) @ _KRONROD
+        resabs = np.abs(fx) @ _KRONROD
     vals, errs = [], []
     for h, (kronrod, gauss), asc, absum in zip(half.tolist(), sums.tolist(),
                                                resasc.tolist(), resabs.tolist()):

@@ -50,13 +50,15 @@ set the points x <= 0 apart branch on it.  A float is not made a
 several times that of a rational closed form.  Every route evaluates a
 whole array at once; points share anchored contours, so a contour rule
 makes one transform call on an (anchors, M) node array, one row per
-occupied cell, and the quadratures over W in ``laplace_roundtrip`` and
-the validation suites pay for a few such calls instead of one inversion
-per node.  Every point keeps its own self-estimate and, in the remainder
-contour, its own tie-break.  A point that fails raises
-``InversionFailure`` naming its x, and so does a value that is not
-finite (a closed form overflowing far in the tail), so no call returns
-NaN or inf for a point x > 0.
+occupied cell, and folds each row into a 16-term series in (x - a)/a
+about its anchor a, so a point pays one real exponential and that
+polynomial, not M complex exponentials.  The quadratures over W in
+``laplace_roundtrip`` and the validation suites pay for a few such
+calls instead of one inversion per node.  Every point keeps its own
+self-estimate and, in the remainder contour, its own tie-break.  A
+point that fails raises ``InversionFailure`` naming its x, and so does
+a value that is not finite (a closed form overflowing far in the tail),
+so no call returns NaN or inf for a point x > 0.
 
 W^(q)(x) = 0 for x < 0 and, in the unbounded-variation class accepted by
 the model layer, W^(q)(0) = 0 with right derivative 2/sigma2.
@@ -229,49 +231,73 @@ def _cells(x):
     return ordered[first], cell
 
 
-# complex values per transform call or per-point temporary: bounds the
-# memory of a call however many points are asked for at once
-_BATCH = 1 << 14
+# complex values per transform call, and M times the points of a batch:
+# bounds the memory of a call however many points are asked for at once.
+# It stays below numpy's 256 KiB threshold for reusing temporaries, which
+# swaps the operands of a complex product such as s*(psi(s) - q), and
+# with them its rounding, so that a row's transform values do not depend
+# on the call
+_BATCH = 16000
+# terms of the Taylor series in d = (x - a)/a that a point of anchor a
+# sums; the first omitted one is below 2e-22 of the head term for M <= 32
+_TERMS = 16
 
 
 @functools.lru_cache(maxsize=None)
 def _talbot_rule(M):
-    # theta_k, cot(theta_k) + i and 1 + i*sigma(theta_k) for k = 1..M-1:
-    # the fixed-Talbot nodes are r*theta*(cot + i) + c with weights
-    # (r/M)*(1 + i*sigma); the real node k = 0 is handled apart
+    # theta_k and cot(theta_k) + i for k = 1..M-1: the fixed-Talbot nodes
+    # are r*theta*(cot + i) + c, the real node k = 0 is r + c.  With
+    # r = 2M/(5a), r*x*theta*(cot + i) is z_k*(1 + d) with z_k =
+    # (2M/5)*theta*(cot + i), the same at every anchor a, so the weighted
+    # terms w_k*exp(z_k*(1 + d)) fold into a series in d: rows 2k and
+    # 2k + 1 of fold hold the real part and minus the imaginary part of
+    # w_k*exp(z_k)*z_k^j/j!, with w_0 = 1/2 and w_k = 1 + i*sigma(theta_k)
     theta = np.arange(1, M, dtype=float) * np.pi / M
     cot = 1.0 / np.tan(theta)
     sigma = theta + (theta * cot - 1.0) * cot
-    return theta, cot + 1j, 1.0 + 1j * sigma
+    z = 0.4 * M * np.concatenate(([1.0], theta * (cot + 1j)))
+    weight = np.concatenate(([0.5], 1.0 + 1j * sigma))
+    terms = np.cumprod([weight * np.exp(z)] + [z / j for j in range(1, _TERMS)], axis=0).T
+    fold = np.empty((2 * M, _TERMS))
+    fold[0::2], fold[1::2] = terms.real, -terms.imag
+    return theta, cot + 1j, fold
 
 
 def _talbot_once(transform, x, cells, M, base):
     """Fixed-Talbot rule with M nodes at the points of the 1-D array x.
 
     Points share anchored contours (``cells = _cells(x)``): a point takes
-    r = 2M/(5a) and the shift c(a) of its anchor a, and its own x in the
-    exponentials.  The transform is called on one (anchors, M) node
-    array, not on (n, M); only the exponentials are paid per point.
+    r = 2M/(5a) and the shift c(a) of its anchor a.  The transform is
+    called on one (anchors, M) node array, not on (n, M), and each
+    anchor's weighted row folds into the coefficients of a Taylor series
+    in d = (x - a)/a (``_talbot_rule``), so a point pays one real
+    exp(c*x) and a 16-term polynomial.  The fold is a stacked product,
+    one row at a time, so a point's value does not depend on the other
+    anchors of its call.
     """
-    theta, path, weight = _talbot_rule(M)
+    theta, path, fold = _talbot_rule(M)
     anchor, cell = cells
     r = 2.0 * M / (5.0 * anchor)
     c = _shift(base, anchor)
-    sk = r[:, None] * theta * path
     nodes = np.empty((anchor.size, M), dtype=complex)
     nodes[:, 0] = r + c
-    nodes[:, 1:] = sk + c[:, None]
+    nodes[:, 1:] = r[:, None] * theta * path + c[:, None]
     step = max(1, _BATCH // M)
     batches = [transform(nodes[i : i + step]) for i in range(0, anchor.size, step)]
     vals = batches[0] if len(batches) == 1 else np.concatenate(batches)
-    vals[:, 1:] *= weight
+    # (Re, Im) pairs of each row times fold, times r/M = 0.4/a
+    flat = np.ascontiguousarray(vals, dtype=complex).view(float)[:, None, :]
+    series = np.matmul(flat, fold)[:, 0] * (0.4 / anchor)[:, None]
     out = np.empty(x.shape)
     for i in range(0, x.size, step):
         rows = slice(i, i + step) if cell is None else cell[i : i + step]
-        xb = x[i : i + step]
-        head = 0.5 * vals[rows, 0].real * np.exp(r[rows] * xb)
-        body = (np.exp(sk[rows] * xb[:, None]) * vals[rows, 1:]).real.sum(axis=1)
-        out[i : i + step] = np.exp(c[rows] * xb) * (r[rows] / M) * (head + body)
+        xb, ab = x[i : i + step], anchor[rows]
+        powers = np.empty((xb.size, _TERMS))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = ((xb - ab) / ab)[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        poly = np.matmul(series[rows][:, None, :], powers[:, :, None])[:, 0, 0]
+        out[i : i + step] = np.exp(c[rows] * xb) * poly
     return out
 
 

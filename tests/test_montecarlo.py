@@ -810,14 +810,14 @@ _PINNED = {
     ("cp", "survival", 3): "Estimate(mean=0.8635909432405766, stderr=0.007596359898144916, n=2000, analytic_target=0.8548917337225272, z_score=1.1451813282535197, crossings=None, truncation_allowance=0.0)",
     ("cp", "creeping", 3): "Estimate(mean=0.06248783174588553, stderr=0.005354254375693194, n=2000, analytic_target=0.06641549497585197, z_score=-0.73355932579463, crossings=266, truncation_allowance=0.0)",
     ("cp", "martingale", 3): "Estimate(mean=1.0278476394733815, stderr=0.014028339530811562, n=2000, analytic_target=1.0, z_score=1.9850987646982412, crossings=None, truncation_allowance=None)",
-    ("stable", "passage", 3): "Estimate(mean=0.04132973969418283, stderr=0.0033643543693884542, n=2000, analytic_target=0.04231580999968208, z_score=-0.29309347269458313, crossings=256, truncation_allowance=4.505118791834615e-55)",
+    ("stable", "passage", 3): "Estimate(mean=0.04132973969418283, stderr=0.0033643543693884542, n=2000, analytic_target=0.04231580999927606, z_score=-0.29309347257389956, crossings=256, truncation_allowance=4.505118791834615e-55)",
     ("stable", "upcross", 3): "Estimate(mean=0.21348467604604926, stderr=0.00312491885444853, n=2000, analytic_target=0.2138870786093569, z_score=-0.1287721640306915, crossings=1902, truncation_allowance=2.531546110090552e-56)",
-    ("stable", "survival", 3): "Estimate(mean=0.7566189832760796, stderr=0.0072174421908594395, n=2000, analytic_target=0.7446043236972452, z_score=1.6646700120508655, crossings=None, truncation_allowance=0.0)",
+    ("stable", "survival", 3): "Estimate(mean=0.756618983291644, stderr=0.007217442191011768, n=2000, analytic_target=0.7446043237053138, z_score=1.6646700130542964, crossings=None, truncation_allowance=0.0)",
     ("stable", "creeping", 3): "Estimate(mean=0.005, stderr=0.0015775754727384973, n=2000, analytic_target=0.0, z_score=3.1694204723660864, crossings=307, truncation_allowance=0.0)",
     ("stable", "martingale", 3): "Estimate(mean=1.0119468814088775, stderr=0.00893277089684065, n=2000, analytic_target=1.0, z_score=1.337421674287296, crossings=None, truncation_allowance=None)",
-    ("tempered", "passage", 3): "Estimate(mean=0.06078768739995512, stderr=0.003720345373395771, n=2000, analytic_target=0.0587545657073786, z_score=0.5464873522537426, crossings=386, truncation_allowance=4.169301450700154e-55)",
+    ("tempered", "passage", 3): "Estimate(mean=0.06078768739995512, stderr=0.003720345373395771, n=2000, analytic_target=0.05875456570677541, z_score=0.5464873524158756, crossings=386, truncation_allowance=4.169301450700154e-55)",
     ("tempered", "upcross", 3): "Estimate(mean=0.24542009068478557, stderr=0.004683608450646991, n=2000, analytic_target=0.2473866436406101, z_score=-0.41987988034159485, crossings=1841, truncation_allowance=4.107304403106099e-56)",
-    ("tempered", "survival", 3): "Estimate(mean=0.7864631002595728, stderr=0.009081362259066746, n=2000, analytic_target=0.7944154294662658, z_score=-0.8756758049986879, crossings=None, truncation_allowance=0.0)",
+    ("tempered", "survival", 3): "Estimate(mean=0.7864631002655017, stderr=0.009081362259135835, n=2000, analytic_target=0.7944154294691103, z_score=-0.8756758046523829, crossings=None, truncation_allowance=0.0)",
     ("tempered", "martingale", 3): "Estimate(mean=1.0229271444898216, stderr=0.013054637890410548, n=2000, analytic_target=1.0, z_score=1.7562451507492989, crossings=None, truncation_allowance=None)",
     ("bm", "passage", 8): "Estimate(mean=0.028441345139343134, stderr=0.0023643234450167814, n=2000, analytic_target=0.03176183895152091, z_score=-1.4044160578690235, crossings=245, truncation_allowance=4.533534105315223e-55)",
     ("bm", "upcross", 8): "Estimate(mean=0.23379612789115883, stderr=0.00471451360685511, n=2000, analytic_target=0.23469000981798865, z_score=-0.18960215228355198, crossings=1825, truncation_allowance=4.520618053733128e-56)",
@@ -829,14 +829,14 @@ _PINNED = {
     ("cp", "survival", 8): "Estimate(mean=0.8570469924196205, stderr=0.007756915217192896, n=2000, analytic_target=0.8548917337225272, z_score=0.2778499747317289, crossings=None, truncation_allowance=0.0)",
     ("cp", "creeping", 8): "Estimate(mean=0.06462096456127797, stderr=0.00545069162071461, n=2000, analytic_target=0.06641549497585197, z_score=-0.32922985548368483, crossings=281, truncation_allowance=0.0)",
     ("cp", "martingale", 8): "Estimate(mean=1.0105383378101127, stderr=0.0140329013180524, n=2000, analytic_target=1.0, z_score=0.7509735564487888, crossings=None, truncation_allowance=None)",
-    ("stable", "passage", 8): "Estimate(mean=0.03971603570673302, stderr=0.0033083820754776796, n=2000, analytic_target=0.04231580999968208, z_score=-0.7858144052402691, crossings=268, truncation_allowance=4.474120268037588e-55)",
+    ("stable", "passage", 8): "Estimate(mean=0.03971603570673302, stderr=0.0033083820754776796, n=2000, analytic_target=0.04231580999927606, z_score=-0.7858144051175437, crossings=268, truncation_allowance=4.474120268037588e-55)",
     ("stable", "upcross", 8): "Estimate(mean=0.2195931264501803, stderr=0.0031452184574700367, n=2000, analytic_target=0.2138870786093569, z_score=1.8141976202865273, crossings=1906, truncation_allowance=2.4282176974337948e-56)",
-    ("stable", "survival", 8): "Estimate(mean=0.7455770332549254, stderr=0.00745039788798898, n=2000, analytic_target=0.7446043236972452, z_score=0.13055806848227353, crossings=None, truncation_allowance=0.0)",
+    ("stable", "survival", 8): "Estimate(mean=0.7455770332717582, stderr=0.007450397888160231, n=2000, analytic_target=0.7446043237053138, z_score=0.1305580696555991, crossings=None, truncation_allowance=0.0)",
     ("stable", "creeping", 8): "Estimate(mean=0.002, stderr=0.0009992493430694925, n=2000, analytic_target=0.0, z_score=2.0015024416792744, crossings=332, truncation_allowance=0.0)",
     ("stable", "martingale", 8): "Estimate(mean=1.024908677288945, stderr=0.008944599184667357, n=2000, analytic_target=1.0, z_score=2.784772886374049, crossings=None, truncation_allowance=None)",
-    ("tempered", "passage", 8): "Estimate(mean=0.06169796620041497, stderr=0.0037448867292679154, n=2000, analytic_target=0.0587545657073786, z_score=0.7859785103865532, crossings=398, truncation_allowance=4.138302926903127e-55)",
+    ("tempered", "passage", 8): "Estimate(mean=0.06169796620041497, stderr=0.0037448867292679154, n=2000, analytic_target=0.05875456570677541, z_score=0.7859785105476238, crossings=398, truncation_allowance=4.138302926903127e-55)",
     ("tempered", "upcross", 8): "Estimate(mean=0.25822349400857003, stderr=0.004825824266342729, n=2000, analytic_target=0.2473866436406101, z_score=2.245595730358551, crossings=1817, truncation_allowance=4.727274879046642e-56)",
-    ("tempered", "survival", 8): "Estimate(mean=0.7956939894791883, stderr=0.008934731633111462, n=2000, analytic_target=0.7944154294662658, z_score=0.1430999906235954, crossings=None, truncation_allowance=0.0)",
+    ("tempered", "survival", 8): "Estimate(mean=0.7956939894863938, stderr=0.008934731633193492, n=2000, analytic_target=0.7944154294691103, z_score=0.14309999111037194, crossings=None, truncation_allowance=0.0)",
     ("tempered", "martingale", 8): "Estimate(mean=1.0088081208207282, stderr=0.012918851034097924, n=2000, analytic_target=1.0, z_score=0.6818037298735117, crossings=None, truncation_allowance=None)",
 }
 

@@ -14,6 +14,7 @@ from levyfluct import (
     mittag_leffler,
     w_series_check,
 )
+from levyfluct.scale import _TALBOT_M, _TERMS, _cells, _shift, _talbot_once
 from conftest import bm, model_b, stable_sn, tempered_mixed
 
 
@@ -389,3 +390,103 @@ def test_contour_calls_the_transform_once_per_occupied_cell():
     cells = np.unique(np.floor(16.0 * np.log2(x))).size
     # two rules, the M = 32 value and its M = 24 self-estimate
     assert 0 < model.rows <= 2 * cells
+
+
+# ---------------------------------------------------------------------------
+# the Talbot fold
+# ---------------------------------------------------------------------------
+
+# the rules in use: the contour's M = 32 value and its M = 24 check, and
+# the remainder contour's M = 24 value, M = 18 check and M = 21 tie-break
+_RULES = (18, 21, 24, 32)
+
+
+def _talbot_path(M):
+    # theta*(cot(theta) + i) at theta_k = k*pi/M, 1 at k = 0, and the
+    # weights 1/2 and 1 + i*sigma(theta_k)
+    theta = np.arange(1, M) * np.pi / M
+    cot = 1.0 / np.tan(theta)
+    weight = np.concatenate(([0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)))
+    return np.concatenate(([1.0], theta * (cot + 1j))), weight
+
+
+def _direct_talbot(transform, x, M, base):
+    # the fixed-Talbot sum written term by term at each point's anchor a:
+    # (r/M) * sum_k Re(w_k F(s_k) exp(s_k x)), and the sum of the moduli
+    anchor, cell = _cells(x)
+    a = anchor if cell is None else anchor[cell]
+    path, weight = _talbot_path(M)
+    r = 2.0 * M / (5.0 * a)
+    nodes = r[:, None] * path + _shift(base, a)[:, None]
+    terms = (r / M)[:, None] * weight * transform(nodes) * np.exp(nodes * x[:, None])
+    return terms.real.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _whole_cells():
+    # five cells from their lower edge to their upper one, which is the
+    # next cell's lower edge, and the last float below each upper edge
+    parts = []
+    for i in (-20, 0, 7, 16, 37):
+        lower, upper = 2.0 ** (i / 16.0), 2.0 ** ((i + 1) / 16.0)
+        parts += [np.linspace(lower, upper, 41), [np.nextafter(upper, 0.0)]]
+    return np.concatenate(parts)
+
+
+def test_fold_matches_the_direct_talbot_sum():
+    m = tempered_mixed()
+    q = 0.5
+    phi = m.phi(q)
+    lead = 1.0 / m.psi_prime(phi)
+    transforms = {
+        "w": (lambda s: 1.0 / (m.psi(s) - q), phi),
+        "w_prime": (lambda s: s / (m.psi(s) - q), phi),
+        "z": (lambda s: 1.0 / (s * (m.psi(s) - q)), phi),
+        "remainder": (lambda s: 1.0 / (m.psi(s) - q) - lead / (s - phi), 0.0),
+    }
+    x = _whole_cells()
+    anchor, cell = _cells(x)
+    assert np.abs(x / anchor[cell] - 1.0).max() >= 0.99 * (2.0 ** (1.0 / 32.0) - 1.0)
+    for M in _RULES:
+        for name, (transform, base) in transforms.items():
+            want, size = _direct_talbot(transform, x, M, base)
+            got = _talbot_once(transform, x, (anchor, cell), M, base)
+            assert np.all(np.abs(got - want) <= 1e-12 * size), (M, name)
+
+
+def test_fold_drops_terms_below_2_to_minus_60_of_the_head():
+    # inside a cell |d| <= 2^(1/32) - 1; the first term past the series
+    # at every node, against the head term w_0 exp(z_0) = exp(2M/5)/2
+    assert {_TALBOT_M, (3 * _TALBOT_M) // 4} <= set(_RULES)
+    d = 2.0 ** (1.0 / 32.0) - 1.0
+    for M in _RULES:
+        path, weight = _talbot_path(M)
+        z = 0.4 * M * path
+        omitted = np.abs(weight * np.exp(z)) * (np.abs(z) * d) ** _TERMS / math.factorial(_TERMS)
+        assert omitted.max() < 2.0 ** -60 * 0.5 * math.exp(0.4 * M)
+
+
+def _calls_holding(x0, anchors):
+    # arrays holding x0 in the middle whose points occupy the given number
+    # of cells, with and without a second point in x0's own cell
+    own = math.floor(16.0 * math.log2(x0))
+    others = 2.0 ** ((np.arange(own - anchors + 1, own) + 0.3) / 16.0)
+    half = others.size // 2
+    for partner in ([], [1.001 * x0]):
+        yield np.concatenate([others[:half], [x0], partner, others[half:]]), half
+
+
+@pytest.mark.parametrize("model", [tempered_mixed(), _drifting_stable()],
+                         ids=["tempered", "stable"])
+def test_point_value_does_not_depend_on_the_other_anchors(model):
+    # each anchor's row is folded on its own, so a point's value is the
+    # same bits alone and among any number of other anchors; 600 anchors
+    # take two transform calls at M = 32
+    engine = make_engine(model)
+    x0 = 1.37
+    for fn, q in ((engine.w, 0.0), (engine.w_prime, 0.5), (engine.z, 2.5),
+                  (engine.w_minus_leading, 0.5)):
+        alone = fn(q, x0)
+        for anchors in (1, 2, 37, 600):
+            for x, at in _calls_holding(x0, anchors):
+                assert _cells(x)[0].size == anchors
+                assert fn(q, x)[at] == alone, (fn.__name__, anchors, x.size)
